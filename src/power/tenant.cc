@@ -1,8 +1,8 @@
 #include "power/tenant.hh"
 
-#include <algorithm>
-#include <cmath>
+#include <array>
 
+#include "power/scale_kernel.hh"
 #include "util/logging.hh"
 
 namespace ecolo::power {
@@ -22,6 +22,12 @@ Tenant::setTrace(trace::UtilizationTrace trace)
 {
     ECOLO_ASSERT(!trace.empty(), "empty trace for tenant '", name_, "'");
     trace_ = std::move(trace);
+}
+
+void
+Tenant::scaleTrace(double factor)
+{
+    trace_.scale(factor);
 }
 
 void
@@ -99,9 +105,12 @@ Tenant::utilization() const
     return sum / static_cast<double>(servers_.size());
 }
 
+namespace detail {
+
 double
-computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
-                            Kilowatts target_mean_power)
+computeMeanPowerScaleFactorWith(const MeanPowerKernel &kernel,
+                                const std::vector<Tenant *> &tenants,
+                                Kilowatts target_mean_power)
 {
     ECOLO_ASSERT(!tenants.empty(), "no tenants to scale");
     for (Tenant *t : tenants)
@@ -110,56 +119,102 @@ computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
 
     // All tenants share one trace length (they are generated together).
     const std::size_t horizon = tenants.front()->traceRef().size();
-    for (Tenant *t : tenants)
+    std::vector<ScaleTenantView> views;
+    views.reserve(tenants.size());
+    for (const Tenant *t : tenants) {
         ECOLO_ASSERT(t->traceRef().size() == horizon,
                      "tenant trace lengths differ");
+        const ServerSpec &spec = t->server(0).spec();
+        ECOLO_ASSERT(spec.idlePower <= spec.peakPower,
+                     "idle power above peak power");
+        views.push_back({t->traceRef().samples().data(), horizon,
+                         spec.idlePower.value(),
+                         (spec.peakPower - spec.idlePower).value(),
+                         static_cast<double>(t->numServers())});
+    }
+    using Lanes = std::array<double, kScaleLanes>;
+    auto mean_power_at = [&](const Lanes &factors) {
+        Lanes mean_kw{};
+        kernel.fn(views.data(), views.size(), factors.data(), mean_kw.data());
+        return mean_kw;
+    };
 
     // Mean power is a monotone function of the common scale factor; solve
     // for it by bisection. The achieved mean saturates at all-peak power,
     // so clamp the target to what is actually reachable.
-    auto mean_power_for = [&](double factor) {
-        double total_kw = 0.0;
-        for (const Tenant *t : tenants) {
-            const auto &samples = t->traceRef().samples();
-            const ServerSpec &spec = t->server(0).spec();
-            const double n = static_cast<double>(t->numServers());
-            double tenant_kw = 0.0;
-            for (double u : samples) {
-                const double scaled = std::clamp(u * factor, 0.0, 1.0);
-                tenant_kw += spec.powerAt(scaled).value() * n;
-            }
-            total_kw += tenant_kw / static_cast<double>(samples.size());
-        }
-        return total_kw;
-    };
-
+    //
+    // The search is the classic one -- double hi from 1 until the target
+    // is bracketed or hi reaches 64, then 60 halvings of (lo, hi) -- and
+    // returns its exact bits, but it evaluates the mean power at several
+    // factors per pass over the traces. The bracket candidates 1, 2, ...,
+    // 64 share one pass.
     const double target = target_mean_power.value();
-    double lo = 0.0, hi = 1.0;
-    // Grow hi until the target is bracketed or saturation is reached.
-    while (mean_power_for(hi) < target && hi < 64.0)
-        hi *= 2.0;
-    if (mean_power_for(hi) < target) {
+    const Lanes powers{1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 64.0};
+    const Lanes at_powers = mean_power_at(powers);
+    std::size_t k = 0;
+    while (at_powers[k] < target && powers[k] < 64.0)
+        ++k;
+    if (at_powers[k] < target) {
         warn("target mean power ", target,
              " kW unreachable; saturating traces at full utilization");
     }
-    for (int iter = 0; iter < 60; ++iter) {
-        const double mid = 0.5 * (lo + hi);
-        if (mean_power_for(mid) < target)
-            lo = mid;
-        else
-            hi = mid;
+
+    // Each further pass speculates three halvings: the mid of (lo, hi),
+    // the mids of both halves it may leave, and the four mids below
+    // those, each computed as 0.5 * (lo + hi) from the interval the
+    // halving would see. Node i's children are 2i + 1 (the target was
+    // reached, hi = mid) and 2i + 2 (lo = mid). Replaying the three
+    // decisions then walks one root-to-leaf path.
+    constexpr int kLevels = 3;
+    constexpr int kHalvings = 60;
+    constexpr std::size_t kNodes = (std::size_t{1} << kLevels) - 1;
+    static_assert(kHalvings % kLevels == 0 && kNodes <= kScaleLanes);
+    double lo = 0.0, hi = powers[k];
+    for (int iter = 0; iter < kHalvings; iter += kLevels) {
+        Lanes node_lo{}, node_hi{}, mids{};
+        node_lo[0] = lo;
+        node_hi[0] = hi;
+        for (std::size_t i = 0; i < kNodes; ++i) {
+            mids[i] = 0.5 * (node_lo[i] + node_hi[i]);
+            if (2 * i + 2 < kNodes) {
+                node_lo[2 * i + 1] = node_lo[i];
+                node_hi[2 * i + 1] = mids[i];
+                node_lo[2 * i + 2] = mids[i];
+                node_hi[2 * i + 2] = node_hi[i];
+            }
+        }
+        const Lanes at_mids = mean_power_at(mids);
+        std::size_t node = 0;
+        for (int level = 0; level < kLevels; ++level) {
+            const bool below = at_mids[node] < target;
+            double &moved = below ? lo : hi;
+            // A halving that leaves (lo, hi) unchanged is a fixed point
+            // of this deterministic map: every remaining halving would
+            // repeat it, so the answer is final.
+            if (moved == mids[node])
+                return 0.5 * (lo + hi);
+            moved = mids[node];
+            node = 2 * node + (below ? 2 : 1);
+        }
     }
     return 0.5 * (lo + hi);
+}
+
+} // namespace detail
+
+double
+computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
+                            Kilowatts target_mean_power)
+{
+    return detail::computeMeanPowerScaleFactorWith(
+        detail::selectedMeanPowerKernel(), tenants, target_mean_power);
 }
 
 void
 applyTraceScale(const std::vector<Tenant *> &tenants, double factor)
 {
-    for (Tenant *t : tenants) {
-        trace::UtilizationTrace scaled = t->traceRef();
-        scaled.scale(factor);
-        t->setTrace(std::move(scaled));
-    }
+    for (Tenant *t : tenants)
+        t->scaleTrace(factor);
 }
 
 void

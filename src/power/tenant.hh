@@ -38,6 +38,9 @@ class Tenant
     const trace::UtilizationTrace &traceRef() const { return trace_; }
     bool hasTrace() const { return !trace_.empty(); }
 
+    /** Scale the attached trace in place (UtilizationTrace::scale). */
+    void scaleTrace(double factor);
+
     /** Set every server's utilization from the trace at minute t. */
     void applyTraceAt(MinuteIndex t);
 

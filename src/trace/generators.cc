@@ -1,6 +1,7 @@
 #include "trace/generators.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -19,6 +20,25 @@ dailyShape(double hour, double peak_hour)
 {
     const double phase = (hour - peak_hour) / 24.0 * 2.0 * M_PI;
     return 0.5 * (1.0 + std::cos(phase));
+}
+
+/**
+ * dailyShape(hourOfDay(t), peak_hour) for every minute of the day. The
+ * shape depends on t only through minuteOfDay(t), so a generator
+ * tabulates it once and indexes the table per minute. Each entry is
+ * the same expression, so samples match the per-minute evaluation bit
+ * for bit.
+ */
+using DailyShapeTable = std::array<double, kMinutesPerDay>;
+
+DailyShapeTable
+tabulateDailyShape(double peak_hour)
+{
+    DailyShapeTable table{};
+    for (std::size_t m = 0; m < table.size(); ++m)
+        table[m] = dailyShape(hourOfDay(static_cast<MinuteIndex>(m)),
+                              peak_hour);
+    return table;
 }
 
 /** Poisson burst process: additive utilization bursts over the horizon. */
@@ -64,12 +84,14 @@ DiurnalTraceGenerator::generate(std::size_t num_minutes, Rng &rng) const
     double noise = 0.0;
     const double noise_innovation =
         p.noiseSigma * std::sqrt(std::max(0.0, 1.0 - p.noisePhi * p.noisePhi));
+    const DailyShapeTable primary = tabulateDailyShape(p.peakHour);
+    const DailyShapeTable secondary = tabulateDailyShape(p.secondaryPeakHour);
     for (std::size_t i = 0; i < num_minutes; ++i) {
         const auto t = static_cast<MinuteIndex>(i);
-        const double hour = hourOfDay(t);
+        const auto minute = static_cast<std::size_t>(minuteOfDay(t));
         double level = p.baseUtilization;
-        level += p.diurnalAmplitude * dailyShape(hour, p.peakHour);
-        level += p.secondaryAmplitude * dailyShape(hour, p.secondaryPeakHour);
+        level += p.diurnalAmplitude * primary[minute];
+        level += p.secondaryAmplitude * secondary[minute];
         if (isWeekend(t))
             level *= p.weekendFactor;
         noise = p.noisePhi * noise + rng.normal(0.0, noise_innovation);
@@ -100,6 +122,7 @@ GoogleStyleTraceGenerator::generate(std::size_t num_minutes, Rng &rng) const
     double noise = 0.0;
     const double noise_innovation =
         p.noiseSigma * std::sqrt(std::max(0.0, 1.0 - p.noisePhi * p.noisePhi));
+    const DailyShapeTable shape = tabulateDailyShape(p.peakHour);
 
     for (std::size_t i = 0; i < num_minutes; ++i) {
         if (dwell_left <= 0.0) {
@@ -117,9 +140,9 @@ GoogleStyleTraceGenerator::generate(std::size_t num_minutes, Rng &rng) const
         // instead of instantaneous jumps.
         current += (plateau - current) * 0.15;
 
-        const auto t = static_cast<MinuteIndex>(i);
-        const double diurnal =
-            p.diurnalAmplitude * (dailyShape(hourOfDay(t), p.peakHour) - 0.5);
+        const auto minute = static_cast<std::size_t>(
+            minuteOfDay(static_cast<MinuteIndex>(i)));
+        const double diurnal = p.diurnalAmplitude * (shape[minute] - 0.5);
         noise = p.noisePhi * noise + rng.normal(0.0, noise_innovation);
         samples[i] = current + diurnal + noise;
     }
@@ -157,11 +180,12 @@ RequestTraceGenerator::generate(std::size_t num_minutes, Rng &rng) const
         }
     }
 
+    const DailyShapeTable shapes = tabulateDailyShape(p.peakHour);
     std::size_t crowd_idx = 0;
     for (std::size_t i = 0; i < num_minutes; ++i) {
         const auto t = static_cast<MinuteIndex>(i);
         // Diurnal request rate.
-        const double shape = dailyShape(hourOfDay(t), p.peakHour);
+        const double shape = shapes[static_cast<std::size_t>(minuteOfDay(t))];
         double rate = p.peakRequestsPerSecond *
                       (p.baseFraction + (1.0 - p.baseFraction) * shape);
         if (isWeekend(t))

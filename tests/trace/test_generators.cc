@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <sstream>
+#include <string>
 
 #include "trace/generators.hh"
 #include "util/sim_time.hh"
+#include "util/state_io.hh"
 #include "util/stats.hh"
 
 namespace ecolo::trace {
@@ -255,6 +261,254 @@ TEST(RequestGenerator, WorksAsEngineExternalTrace)
     const auto scaled = scaleToMeanUtilization(t, 0.6);
     EXPECT_NEAR(scaled.mean(), 0.6, 0.01);
 }
+
+} // namespace
+} // namespace ecolo::trace
+
+namespace ecolo::trace {
+namespace {
+
+/**
+ * The generators as they were before the daily shape was tabulated:
+ * dailyShape(hourOfDay(t), peak) evaluated per minute. Kept verbatim
+ * as the oracle for the table-driven versions, RNG draw order included.
+ */
+namespace reference {
+
+double
+dailyShape(double hour, double peak_hour)
+{
+    const double phase = (hour - peak_hour) / 24.0 * 2.0 * M_PI;
+    return 0.5 * (1.0 + std::cos(phase));
+}
+
+void
+addBursts(std::vector<double> &samples, Rng &rng, double bursts_per_day,
+          double magnitude_mean, double duration_mean)
+{
+    if (bursts_per_day <= 0.0)
+        return;
+    const double rate_per_minute =
+        bursts_per_day / static_cast<double>(kMinutesPerDay);
+    double t = rng.exponential(rate_per_minute);
+    while (t < static_cast<double>(samples.size())) {
+        const auto start = static_cast<std::size_t>(t);
+        const double magnitude =
+            rng.exponential(1.0 / std::max(magnitude_mean, 1e-9));
+        const double duration =
+            std::max(1.0, rng.exponential(1.0 / std::max(duration_mean,
+                                                         1e-9)));
+        const auto end = std::min(samples.size(),
+                                  start + static_cast<std::size_t>(duration));
+        for (std::size_t i = start; i < end; ++i) {
+            const double pos = static_cast<double>(i - start) /
+                               std::max(1.0, duration - 1.0);
+            const double envelope = 1.0 - std::abs(2.0 * pos - 1.0);
+            samples[i] += magnitude * (0.5 + 0.5 * envelope);
+        }
+        t += rng.exponential(rate_per_minute);
+    }
+}
+
+std::vector<double>
+diurnal(const DiurnalTraceGenerator::Params &p, std::size_t num_minutes,
+        Rng &rng)
+{
+    std::vector<double> samples(num_minutes);
+    double noise = 0.0;
+    const double noise_innovation =
+        p.noiseSigma * std::sqrt(std::max(0.0, 1.0 - p.noisePhi * p.noisePhi));
+    for (std::size_t i = 0; i < num_minutes; ++i) {
+        const auto t = static_cast<MinuteIndex>(i);
+        const double hour = hourOfDay(t);
+        double level = p.baseUtilization;
+        level += p.diurnalAmplitude * dailyShape(hour, p.peakHour);
+        level += p.secondaryAmplitude * dailyShape(hour, p.secondaryPeakHour);
+        if (isWeekend(t))
+            level *= p.weekendFactor;
+        noise = p.noisePhi * noise + rng.normal(0.0, noise_innovation);
+        samples[i] = level + noise;
+    }
+    addBursts(samples, rng, p.burstsPerDay, p.burstMagnitude,
+              p.burstDurationMinutes);
+    for (double &s : samples)
+        s = std::clamp(s, 0.0, 1.0);
+    return samples;
+}
+
+std::vector<double>
+googleStyle(const GoogleStyleTraceGenerator::Params &p,
+            std::size_t num_minutes, Rng &rng)
+{
+    std::vector<double> samples(num_minutes);
+    std::size_t level_idx = rng.uniformInt(p.plateauLevels.size());
+    double dwell_left = rng.exponential(1.0 / p.meanDwellMinutes);
+    double plateau = p.plateauLevels[level_idx];
+    double current = plateau;
+    double noise = 0.0;
+    const double noise_innovation =
+        p.noiseSigma * std::sqrt(std::max(0.0, 1.0 - p.noisePhi * p.noisePhi));
+    for (std::size_t i = 0; i < num_minutes; ++i) {
+        if (dwell_left <= 0.0) {
+            std::size_t next = rng.uniformInt(p.plateauLevels.size());
+            if (p.plateauLevels.size() > 1 && next == level_idx)
+                next = (next + 1) % p.plateauLevels.size();
+            level_idx = next;
+            plateau = p.plateauLevels[level_idx];
+            dwell_left = rng.exponential(1.0 / p.meanDwellMinutes);
+        }
+        dwell_left -= 1.0;
+        current += (plateau - current) * 0.15;
+        const auto t = static_cast<MinuteIndex>(i);
+        const double diurnal =
+            p.diurnalAmplitude * (dailyShape(hourOfDay(t), p.peakHour) - 0.5);
+        noise = p.noisePhi * noise + rng.normal(0.0, noise_innovation);
+        samples[i] = current + diurnal + noise;
+    }
+    addBursts(samples, rng, p.burstsPerDay, p.burstMagnitude,
+              p.burstDurationMinutes);
+    for (double &s : samples)
+        s = std::clamp(s, 0.0, 1.0);
+    return samples;
+}
+
+std::vector<double>
+request(const RequestTraceGenerator::Params &p, std::size_t num_minutes,
+        Rng &rng)
+{
+    std::vector<double> samples(num_minutes);
+    std::vector<std::pair<std::size_t, std::size_t>> crowds;
+    if (p.flashCrowdsPerDay > 0.0) {
+        const double rate = p.flashCrowdsPerDay /
+                            static_cast<double>(kMinutesPerDay);
+        double t = rng.exponential(rate);
+        while (t < static_cast<double>(num_minutes)) {
+            const auto start = static_cast<std::size_t>(t);
+            crowds.emplace_back(
+                start, std::min(num_minutes,
+                                start + static_cast<std::size_t>(
+                                            p.flashCrowdMinutes)));
+            t += rng.exponential(rate);
+        }
+    }
+    std::size_t crowd_idx = 0;
+    for (std::size_t i = 0; i < num_minutes; ++i) {
+        const auto t = static_cast<MinuteIndex>(i);
+        const double shape = dailyShape(hourOfDay(t), p.peakHour);
+        double rate = p.peakRequestsPerSecond *
+                      (p.baseFraction + (1.0 - p.baseFraction) * shape);
+        if (isWeekend(t))
+            rate *= p.weekendFactor;
+        while (crowd_idx < crowds.size() && i >= crowds[crowd_idx].second)
+            ++crowd_idx;
+        if (crowd_idx < crowds.size() && i >= crowds[crowd_idx].first)
+            rate *= 1.0 + p.flashCrowdBoost;
+        const double mean_arrivals = rate * 60.0;
+        const double arrivals =
+            static_cast<double>(rng.poisson(mean_arrivals));
+        const double utilization =
+            arrivals / (p.clusterCapacityRps * 60.0);
+        samples[i] = std::clamp(utilization, 0.0, 1.0);
+    }
+    return samples;
+}
+
+} // namespace reference
+
+/** One generator configuration run through both implementations. */
+struct OracleCase
+{
+    std::string name;
+    std::function<UtilizationTrace(std::size_t, Rng &)> tabulated;
+    std::function<std::vector<double>(std::size_t, Rng &)> reference;
+};
+
+std::string
+rngState(const Rng &rng)
+{
+    std::ostringstream os;
+    util::StateWriter writer(os);
+    rng.saveState(writer);
+    return os.str();
+}
+
+class GeneratorOracle : public ::testing::TestWithParam<OracleCase>
+{
+};
+
+TEST_P(GeneratorOracle, TabulatedShapeIsBitwiseThePerMinuteFormula)
+{
+    // Three weeks and a bit: every weekday and weekend twice, and a
+    // partial final day.
+    const std::size_t minutes = 3 * kMinutesPerWeek + 777;
+    Rng rng_tab(2024), rng_ref(2024);
+    const UtilizationTrace tabulated = GetParam().tabulated(minutes, rng_tab);
+    const std::vector<double> expected = GetParam().reference(minutes, rng_ref);
+    ASSERT_EQ(tabulated.size(), expected.size());
+    EXPECT_EQ(std::memcmp(tabulated.samples().data(), expected.data(),
+                          expected.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(rngState(rng_tab), rngState(rng_ref));
+}
+
+DiurnalTraceGenerator::Params
+fractionalDiurnal()
+{
+    DiurnalTraceGenerator::Params p;
+    p.peakHour = 13.37;
+    p.secondaryPeakHour = 21.0 + 1.0 / 3.0;
+    return p;
+}
+
+GoogleStyleTraceGenerator::Params
+fractionalGoogle()
+{
+    GoogleStyleTraceGenerator::Params p;
+    p.peakHour = 15.8125;
+    p.diurnalAmplitude = 0.3;
+    return p;
+}
+
+RequestTraceGenerator::Params
+fractionalRequest()
+{
+    RequestTraceGenerator::Params p;
+    p.peakHour = 14.6;
+    p.flashCrowdsPerDay = 2.0;
+    return p;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Generators, GeneratorOracle,
+    ::testing::Values(
+        OracleCase{"diurnal",
+                   [](std::size_t n, Rng &rng) {
+                       return DiurnalTraceGenerator(fractionalDiurnal())
+                           .generate(n, rng);
+                   },
+                   [](std::size_t n, Rng &rng) {
+                       return reference::diurnal(fractionalDiurnal(), n, rng);
+                   }},
+        OracleCase{"google_style",
+                   [](std::size_t n, Rng &rng) {
+                       return GoogleStyleTraceGenerator(fractionalGoogle())
+                           .generate(n, rng);
+                   },
+                   [](std::size_t n, Rng &rng) {
+                       return reference::googleStyle(fractionalGoogle(), n,
+                                                     rng);
+                   }},
+        OracleCase{"request",
+                   [](std::size_t n, Rng &rng) {
+                       return RequestTraceGenerator(fractionalRequest())
+                           .generate(n, rng);
+                   },
+                   [](std::size_t n, Rng &rng) {
+                       return reference::request(fractionalRequest(), n, rng);
+                   }}),
+    [](const ::testing::TestParamInfo<OracleCase> &param_info) {
+        return param_info.param.name;
+    });
 
 } // namespace
 } // namespace ecolo::trace

@@ -288,8 +288,9 @@ BM_CampaignStreaming(benchmark::State &state)
 }
 BENCHMARK(BM_CampaignStreaming)->Unit(benchmark::kMillisecond);
 
-// ---- Lane-batched sweep vs. one-campaign-per-thread (the ----
-// ---- acceptance metric of the lane-batch engine).         ----
+// ---- Lane-batched sweep vs. one-campaign-per-thread. Both ----
+// ---- legs share setup through one SetupCache, so the pair ----
+// ---- differs only in lanes.                               ----
 
 /**
  * A sensitivity-sweep shaped batch: one seed (so members share a

@@ -324,13 +324,15 @@ BM_GatewayWarmRequest(benchmark::State &state)
 }
 BENCHMARK(BM_GatewayWarmRequest)->Unit(benchmark::kMillisecond);
 
-// ---- Cross-request batching: the 64-request homogeneous campaign.
-// Same seed (equal workload fingerprints: shared benign traces and a
-// shared setup cache), swept policy parameter (64 distinct cache keys:
-// the result cache never short-circuits a member). Arg(1) runs the
-// micro-batching scheduler, Arg(0) the pre-batching scalar dispatch;
-// the serve_{batched,scalar}_requests_per_sec counters land in
-// BENCH_serve.json and their ratio is the CI-gated speedup. ----
+// ---- Setup sharing: the 64-request campaign. A swept policy
+// parameter gives 64 distinct cache keys, so the result cache never
+// short-circuits a member. The two legs differ only in the scenario
+// seed: Arg(0) gives every request its own seed (each one computes
+// its trace set and scale factor), Arg(1) gives all of them one seed
+// (they share those through the server's SetupCache). The
+// serve_{distinct,shared}_seed_requests_per_sec counters land in
+// BENCH_serve.json and their ratio is the CI-gated setup-sharing
+// gain. ----
 
 constexpr int kCampaignRequests = 64;
 constexpr int kCampaignClients = 8;
@@ -338,13 +340,11 @@ constexpr int kCampaignClients = 8;
 void
 BM_ServeCampaign64(benchmark::State &state)
 {
-    const bool batched = state.range(0) != 0;
+    const bool shared_seed = state.range(0) != 0;
     ServerOptions options;
     options.numWorkers = 2;
     options.maxQueued = 2 * kCampaignRequests;
     options.cacheMaxEntries = 4096;
-    options.batching = batched;
-    options.batchWindowMs = 5;
     Server server(std::move(options));
     if (!server.start().ok()) {
         state.SkipWithError("server failed to start");
@@ -365,17 +365,21 @@ BM_ServeCampaign64(benchmark::State &state)
                     kCampaignRequests / kCampaignClients;
                 for (int r = 0; r < per_client; ++r) {
                     const int i = c * per_client + r;
+                    const std::uint64_t request =
+                        campaign * kCampaignRequests +
+                        static_cast<std::uint64_t>(i);
                     RequestSpec spec;
                     spec.clientId = "bench-" + std::to_string(c);
                     spec.priority = Priority::Batch;
                     spec.policy = "myopic";
                     spec.param =
-                        5.0 + 0.01 * static_cast<double>(
-                                         campaign * kCampaignRequests +
-                                         i);
+                        5.0 + 0.01 * static_cast<double>(request);
                     spec.paramSet = true;
                     spec.horizonMinutes = 1440;
-                    spec.scenarioText = "seed = 42\n";
+                    spec.scenarioText =
+                        "seed = " +
+                        std::to_string(shared_seed ? 42 : 1000 + request) +
+                        "\n";
                     const auto outcome =
                         client.submitWithRetry(spec, RetryPolicy{});
                     if (!outcome.ok() ||
@@ -395,26 +399,25 @@ BM_ServeCampaign64(benchmark::State &state)
             break;
         }
     }
-    if (batched && server.schedulerStats().batchesDispatched == 0) {
-        state.SkipWithError("batched leg formed no batches");
-        return;
-    }
     // Rate over *wall* time: the requests run on server threads, so the
     // benchmark thread's CPU clock (kIsRate's denominator) is ~zero.
-    // The shared campaign_requests_per_sec name lets bench_compare
-    // normalize the batched leg by the scalar leg (their ratio is the
-    // machine-independent speedup CI gates on); the per-leg aliases
-    // keep the trajectory readable in BENCH_serve.json.
+    // The common campaign_requests_per_sec name lets bench_compare
+    // normalize the shared-seed leg by the distinct-seed leg (their
+    // ratio is the machine-independent gain CI gates on); the per-leg
+    // aliases keep the trajectory readable in BENCH_serve.json.
     if (wallSeconds > 0.0) {
         const double rate = static_cast<double>(state.iterations()) *
                             kCampaignRequests / wallSeconds;
         state.counters["campaign_requests_per_sec"] = rate;
-        state.counters[batched ? "serve_batched_requests_per_sec"
-                               : "serve_scalar_requests_per_sec"] = rate;
+        state.counters[shared_seed
+                           ? "serve_shared_seed_requests_per_sec"
+                           : "serve_distinct_seed_requests_per_sec"] =
+            rate;
     }
-    const auto occupancy = server.schedulerStats();
-    state.counters["batch_max_occupancy"] =
-        static_cast<double>(occupancy.batchMaxOccupancy);
+    const core::SetupCache::Counters setup = server.setupCacheCounters();
+    state.counters["setup_cache_misses"] = static_cast<double>(
+        setup.traceMisses + setup.scaleMisses + setup.matrixMisses +
+        setup.factorizationMisses);
 }
 BENCHMARK(BM_ServeCampaign64)
     ->Arg(0)
@@ -431,15 +434,12 @@ BENCHMARK(BM_ServeCampaign64)
 void
 BM_ServeOpenLoopPoisson(benchmark::State &state)
 {
-    const bool batched = state.range(0) != 0;
     constexpr int kArrivals = 96;
     constexpr double kMeanInterArrivalMs = 20.0;
     ServerOptions options;
     options.numWorkers = 2;
     options.maxQueued = 2 * kArrivals;
     options.cacheMaxEntries = 4096;
-    options.batching = batched;
-    options.batchWindowMs = 5;
     Server server(std::move(options));
     if (!server.start().ok()) {
         state.SkipWithError("server failed to start");
@@ -521,8 +521,6 @@ BM_ServeOpenLoopPoisson(benchmark::State &state)
     state.counters["openloop_batch_p99_ms"] = batchSnap.p99 / 1000.0;
 }
 BENCHMARK(BM_ServeOpenLoopPoisson)
-    ->Arg(0)
-    ->Arg(1)
     ->Iterations(1)
     ->Unit(benchmark::kSecond);
 

@@ -153,12 +153,18 @@ runCampaigns(const std::vector<CampaignSpec> &specs)
 std::vector<CampaignResult>
 runCampaignsPerThread(const std::vector<CampaignSpec> &specs)
 {
+    // The same setup sharing as runCampaigns, so the two differ only in
+    // how the slot loop runs.
+    auto cache = std::make_shared<core::SetupCache>();
     std::vector<CampaignResult> results(specs.size());
     util::parallelFor(0, specs.size(), [&](std::size_t k) {
         const CampaignSpec &spec = specs[k];
         ECOLO_ASSERT(spec.makePolicy != nullptr,
                      "campaign spec without a policy factory");
-        results[k] = runCampaign(spec.config, spec.makePolicy(spec.config),
+        core::SimulationConfig config = spec.config;
+        if (!config.setupCache)
+            config.setupCache = cache;
+        results[k] = runCampaign(config, spec.makePolicy(config),
                                  spec.days, spec.label, spec.parameter);
     });
     return results;

@@ -67,10 +67,11 @@ std::vector<CampaignResult>
 runCampaigns(const std::vector<CampaignSpec> &specs);
 
 /**
- * The pre-lane-batching execution model: one simulation per pool
- * worker, no setup sharing. Kept as the measured baseline leg of the
- * BM_LaneBatchSweep* benchmarks; results are bit-identical to
- * runCampaigns on the same specs.
+ * The scalar execution model: one simulation per pool worker, with
+ * setup shared through one SetupCache exactly as in runCampaigns. Kept
+ * as the baseline leg of the BM_LaneBatchSweep* benchmarks, which then
+ * differ only in lanes; results are bit-identical to runCampaigns on
+ * the same specs.
  */
 std::vector<CampaignResult>
 runCampaignsPerThread(const std::vector<CampaignSpec> &specs);

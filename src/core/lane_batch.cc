@@ -33,20 +33,6 @@ packKey(const Simulation &sim, std::uint64_t fp)
 
 } // namespace
 
-std::uint64_t
-laneCompatibilityKey(const SimulationConfig &config,
-                     MinuteIndex horizon_minutes)
-{
-    const std::uint64_t thermal_key =
-        SetupCache::factorizationKey(config) * 1099511628211ULL ^
-        static_cast<std::uint64_t>(config.thermalMode);
-    std::uint64_t key = static_cast<std::uint64_t>(config.numServers());
-    key = key * 1099511628211ULL ^ thermal_key;
-    key = key * 1099511628211ULL ^
-          static_cast<std::uint64_t>(horizon_minutes);
-    return key | 1;
-}
-
 LaneBatchRunner::LaneBatchRunner(LaneBatchOptions options)
     : options_(options)
 {

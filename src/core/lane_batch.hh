@@ -50,18 +50,6 @@
 
 namespace ecolo::core {
 
-/**
- * The group-formation rule as a single hash, for callers that must
- * decide *before* construction whether two requests could share a SoA
- * pass (the serve scheduler's micro-batching key). Folds the server
- * count, the thermal key (factorization key x kernel mode), and the
- * horizon; equal keys are exactly the requests LaneBatchRunner would
- * pack into one group when added at now() == 0 with this horizon.
- * Never returns zero (zero is the scheduler's "not batchable").
- */
-std::uint64_t laneCompatibilityKey(const SimulationConfig &config,
-                                   MinuteIndex horizon_minutes);
-
 struct LaneBatchOptions
 {
     /** Lanes packed per group, clamped to [1, LaneThermalBank::kLanes].
@@ -103,8 +91,8 @@ class LaneBatchRunner
     /**
      * True when the lane was retired by its cancel check rather than
      * by exhausting its horizon. Both end states leave remaining() at
-     * zero; serving-side callers need the distinction to answer
-     * CANCELLED vs RESULT per lane.
+     * zero; callers need the distinction to report a cancelled lane
+     * rather than a finished one.
      */
     bool cancelled(std::size_t lane) const;
 

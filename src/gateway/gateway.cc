@@ -630,8 +630,8 @@ Gateway::dispatch(Conn &conn)
                            errorBody("method_not_allowed",
                                      "use GET"),
                            keepAlive, {{"Allow", "GET"}});
-        // The document includes per-worker serve.batch.* and
-        // serve.setup_cache.* counters fetched over blocking STATS
+        // The document includes per-worker serve.setup_cache.*
+        // counters fetched over blocking STATS
         // RPCs, so the collection runs on a forwarder thread -- the
         // epoll loop must never wait on a worker socket.
         conn.busy = true;
@@ -1383,17 +1383,9 @@ Gateway::collectWorkerServeStats()
 {
     auto &reg = telemetry::registry();
     static const char *const kKeys[] = {
-        "serve.batch.batches",
-        "serve.batch.batched_requests",
-        "serve.batch.scalar_fallbacks",
-        "serve.batch.max_occupancy",
-        "serve.batch.occupancy.mean",
-        "serve.batch.window_delay.p99_us",
         "serve.setup_cache.hits",
         "serve.setup_cache.misses",
     };
-    double clusterBatches = 0.0;
-    double clusterBatched = 0.0;
     double clusterSetupHits = 0.0;
     double clusterSetupMisses = 0.0;
     for (std::size_t w = 0; w < pool_.size(); ++w) {
@@ -1420,20 +1412,12 @@ Gateway::collectWorkerServeStats()
                 continue;
             const double v = value->asNumber();
             reg.scalar(prefix + key).set(v);
-            if (std::strcmp(key, "serve.batch.batches") == 0)
-                clusterBatches += v;
-            else if (std::strcmp(key,
-                                 "serve.batch.batched_requests") == 0)
-                clusterBatched += v;
-            else if (std::strcmp(key, "serve.setup_cache.hits") == 0)
+            if (std::strcmp(key, "serve.setup_cache.hits") == 0)
                 clusterSetupHits += v;
             else if (std::strcmp(key, "serve.setup_cache.misses") == 0)
                 clusterSetupMisses += v;
         }
     }
-    reg.scalar("gateway.cluster.batch.batches").set(clusterBatches);
-    reg.scalar("gateway.cluster.batch.batched_requests")
-        .set(clusterBatched);
     reg.scalar("gateway.cluster.setup_cache.hits")
         .set(clusterSetupHits);
     reg.scalar("gateway.cluster.setup_cache.misses")

@@ -247,11 +247,10 @@ class Gateway
                        std::chrono::steady_clock::time_point started);
     std::string healthzJson() const;
     /**
-     * Pull each healthy worker's serve.batch.* / serve.setup_cache.*
-     * counters over a STATS RPC and mirror them into the registry as
-     * gateway.worker.N.* plus gateway.cluster.* aggregates, so
-     * cluster-level batching efficiency is one curl away. Blocking;
-     * forwarder threads only.
+     * Pull each healthy worker's serve.setup_cache.* counters over a
+     * STATS RPC and mirror them into the registry as gateway.worker.N.*
+     * plus gateway.cluster.* aggregates, so cluster-level setup sharing
+     * is one curl away. Blocking; forwarder threads only.
      */
     void collectWorkerServeStats();
 

@@ -1,7 +1,5 @@
 #include "serve/scheduler.hh"
 
-#include <algorithm>
-#include <cassert>
 #include <exception>
 #include <utility>
 
@@ -43,8 +41,6 @@ Scheduler::Scheduler(Options options)
               o.numWorkers = 1;
           if (o.batchBoostEvery == 0)
               o.batchBoostEvery = 1;
-          if (o.batchMaxLanes == 0)
-              o.batchMaxLanes = 1;
           return o;
       }()),
       pool_(options_.numWorkers)
@@ -53,8 +49,12 @@ Scheduler::Scheduler(Options options)
 Scheduler::~Scheduler() { drain(false); }
 
 Scheduler::SubmitResult
-Scheduler::submitLocked(const std::string &client_id, Job entry)
+Scheduler::submit(std::uint64_t id, Lane lane,
+                  const std::string &client_id, JobFn job,
+                  std::optional<std::chrono::steady_clock::time_point>
+                      deadline)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.submitted;
     const std::size_t queued = lanes_[0].size + lanes_[1].size;
     if (draining_) {
@@ -65,48 +65,17 @@ Scheduler::submitLocked(const std::string &client_id, Job entry)
         ++stats_.rejectedQueueFull;
         return {Admission::QueueFull, queued};
     }
-    entry.enqueued = std::chrono::steady_clock::now();
-    liveTokens_.emplace(entry.id, entry.token);
-    lanes_[static_cast<int>(entry.lane)].push(client_id,
-                                              std::move(entry));
-    ++stats_.admitted;
-    // notify_all, not notify_one: a worker holding a batching window
-    // open also waits on this condvar, and it must not swallow the
-    // only wakeup meant for an idle worker (or vice versa).
-    workAvailable_.notify_all();
-    return {Admission::Admitted, queued + 1};
-}
-
-Scheduler::SubmitResult
-Scheduler::submit(std::uint64_t id, Lane lane,
-                  const std::string &client_id, JobFn job,
-                  std::optional<std::chrono::steady_clock::time_point>
-                      deadline)
-{
     Job entry;
     entry.id = id;
     entry.lane = lane;
     entry.fn = std::move(job);
     entry.deadline = deadline;
-    std::lock_guard<std::mutex> lock(mutex_);
-    return submitLocked(client_id, std::move(entry));
-}
-
-Scheduler::SubmitResult
-Scheduler::submitBatchable(
-    std::uint64_t id, Lane lane, const std::string &client_id,
-    std::uint64_t batch_key, std::shared_ptr<void> payload,
-    std::optional<std::chrono::steady_clock::time_point> deadline)
-{
-    assert(options_.batchExecutor && batch_key != 0);
-    Job entry;
-    entry.id = id;
-    entry.lane = lane;
-    entry.batchKey = batch_key;
-    entry.payload = std::move(payload);
-    entry.deadline = deadline;
-    std::lock_guard<std::mutex> lock(mutex_);
-    return submitLocked(client_id, std::move(entry));
+    entry.enqueued = std::chrono::steady_clock::now();
+    liveTokens_.emplace(id, entry.token);
+    lanes_[static_cast<int>(lane)].push(client_id, std::move(entry));
+    ++stats_.admitted;
+    workAvailable_.notify_one();
+    return {Admission::Admitted, queued + 1};
 }
 
 bool
@@ -145,113 +114,10 @@ Scheduler::popNextLocked(Job &out)
 }
 
 void
-Scheduler::noteDispatchLocked(Job &job)
-{
-    const auto now = std::chrono::steady_clock::now();
-    queueWait_[static_cast<int>(job.lane)].record(
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                now - job.enqueued)
-                .count()));
-    if (job.deadline && !job.token.cancelled() && now >= *job.deadline) {
-        job.token.cancel(CancelReason::Deadline);
-        ++stats_.deadlineExpiredQueued;
-    }
-}
-
-std::size_t
-Scheduler::collectPeersLocked(std::uint64_t key, std::size_t max,
-                              std::vector<Job> &out)
-{
-    std::size_t taken = 0;
-    for (LaneQueue &lane : lanes_) {
-        for (auto it = lane.perClient.begin();
-             taken < max && it != lane.perClient.end();) {
-            auto &fifo = it->second;
-            for (auto jit = fifo.begin();
-                 taken < max && jit != fifo.end();) {
-                if (jit->batchKey != key) {
-                    ++jit;
-                    continue;
-                }
-                if (jit->lane == Lane::Interactive)
-                    ++stats_.dispatchedInteractive;
-                else
-                    ++stats_.dispatchedBatch;
-                noteDispatchLocked(*jit);
-                out.push_back(std::move(*jit));
-                jit = fifo.erase(jit);
-                --lane.size;
-                ++taken;
-            }
-            if (fifo.empty()) {
-                const auto rot =
-                    std::find(lane.rotation.begin(),
-                              lane.rotation.end(), it->first);
-                if (rot != lane.rotation.end())
-                    lane.rotation.erase(rot);
-                it = lane.perClient.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        if (taken >= max)
-            break;
-    }
-    return taken;
-}
-
-void
-Scheduler::gatherBatchLocked(const Job &seed, std::vector<Job> &peers,
-                             std::unique_lock<std::mutex> &lock)
-{
-    const std::size_t max_peers = options_.batchMaxLanes - 1;
-    collectPeersLocked(seed.batchKey, max_peers, peers);
-
-    const bool bypass = seed.lane == Lane::Interactive &&
-                        options_.batchWindowInteractiveBypass;
-    double waited_us = 0.0;
-    if (options_.batchWindow.count() > 0 && !bypass && !draining_ &&
-        peers.size() < max_peers) {
-        ++stats_.batchWindowWaits;
-        const auto opened = std::chrono::steady_clock::now();
-        const auto closes = opened + options_.batchWindow;
-        while (peers.size() < max_peers && !draining_) {
-            if (workAvailable_.wait_until(lock, closes) ==
-                std::cv_status::timeout) {
-                collectPeersLocked(seed.batchKey,
-                                   max_peers - peers.size(), peers);
-                break;
-            }
-            collectPeersLocked(seed.batchKey,
-                               max_peers - peers.size(), peers);
-        }
-        waited_us = static_cast<double>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - opened)
-                .count());
-    }
-    batchWindowDelay_.record(waited_us);
-    batchOccupancy_.record(static_cast<double>(1 + peers.size()));
-    if (peers.empty()) {
-        ++stats_.batchScalarFallbacks;
-    } else {
-        ++stats_.batchesDispatched;
-        stats_.batchedJobs += 1 + peers.size();
-        stats_.batchMaxOccupancy =
-            std::max(stats_.batchMaxOccupancy, 1 + peers.size());
-    }
-}
-
-void
 Scheduler::workerLoop()
 {
-    std::vector<Job> peers;
-    std::vector<BatchItem> items;
     for (;;) {
         Job job;
-        peers.clear();
-        items.clear();
         {
             std::unique_lock<std::mutex> lock(mutex_);
             workAvailable_.wait(lock, [&] {
@@ -262,30 +128,21 @@ Scheduler::workerLoop()
                     return;
                 continue;
             }
-            noteDispatchLocked(job);
-            if (job.batchKey != 0 && options_.batchExecutor)
-                gatherBatchLocked(job, peers, lock);
-            stats_.runningNow += 1 + peers.size();
+            const auto now = std::chrono::steady_clock::now();
+            queueWait_[static_cast<int>(job.lane)].record(
+                static_cast<double>(
+                    std::chrono::duration_cast<std::chrono::microseconds>(
+                        now - job.enqueued)
+                        .count()));
+            if (job.deadline && !job.token.cancelled() &&
+                now >= *job.deadline) {
+                job.token.cancel(CancelReason::Deadline);
+                ++stats_.deadlineExpiredQueued;
+            }
+            ++stats_.runningNow;
         }
 
-        if (job.batchKey != 0 && options_.batchExecutor) {
-            items.reserve(1 + peers.size());
-            items.push_back(
-                {job.id, job.lane, job.token, std::move(job.payload)});
-            for (Job &peer : peers)
-                items.push_back({peer.id, peer.lane, peer.token,
-                                 std::move(peer.payload)});
-            telemetry::TraceSpan span("serve.batch");
-            try {
-                options_.batchExecutor(items);
-            } catch (const std::exception &e) {
-                ecolo::warn("serve: batch of ", items.size(),
-                            " failed with exception: ", e.what());
-            } catch (...) {
-                ecolo::warn("serve: batch of ", items.size(),
-                            " failed with unknown exception");
-            }
-        } else {
+        {
             telemetry::TraceSpan span("serve.request");
             try {
                 job.fn(job.token);
@@ -300,17 +157,12 @@ Scheduler::workerLoop()
 
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            stats_.runningNow -= 1 + peers.size();
-            const auto retire = [&](const Job &done) {
-                if (done.token.cancelled())
-                    ++stats_.cancelled;
-                else
-                    ++stats_.completed;
-                liveTokens_.erase(done.id);
-            };
-            retire(job);
-            for (const Job &peer : peers)
-                retire(peer);
+            --stats_.runningNow;
+            if (job.token.cancelled())
+                ++stats_.cancelled;
+            else
+                ++stats_.completed;
+            liveTokens_.erase(job.id);
         }
         // A finished job may have been the last thing a drain was
         // waiting on; make sure idle workers re-check the exit
@@ -362,18 +214,6 @@ telemetry::TailLatency::Snapshot
 Scheduler::queueWaitSnapshot(Lane lane) const
 {
     return queueWait_[static_cast<int>(lane)].snapshot();
-}
-
-telemetry::TailLatency::Snapshot
-Scheduler::batchOccupancySnapshot() const
-{
-    return batchOccupancy_.snapshot();
-}
-
-telemetry::TailLatency::Snapshot
-Scheduler::batchWindowDelaySnapshot() const
-{
-    return batchWindowDelay_.snapshot();
 }
 
 } // namespace ecolo::serve

@@ -25,20 +25,6 @@
  *   dispatched and observes its token immediately, so the completion
  *   path (responding CANCELLED to the waiting client) always runs and
  *   no pool task is ever leaked.
- * - Cross-request micro-batching. A job submitted with a nonzero
- *   batch key (the lane-compatibility key: same formation rule as
- *   core::LaneBatchRunner group packing) is dispatched through the
- *   configured BatchFn executor instead of its own JobFn. When a
- *   worker pops such a job it first sweeps the queues for every other
- *   job with the same key (up to batchMaxLanes total), then -- batch
- *   lane only, unless bypass is disabled -- waits up to batchWindow
- *   for more compatible arrivals before dispatching the whole set as
- *   one executor call. The executor packs the members into one SoA
- *   LaneThermalBank pass and fans per-lane results back per request.
- *   Client fairness is unchanged for scalar jobs; a swept batch
- *   member may run ahead of its own client's earlier non-matching
- *   jobs (batching trades strict per-client FIFO order within a
- *   client for lane occupancy; cross-client ordering is unaffected).
  *
  * Execution: run() dispatches the worker loops onto a dedicated
  * util::ThreadPool via one long parallelFor (each index is a persistent
@@ -61,7 +47,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "telemetry/latency.hh"
 #include "util/parallel.hh"
@@ -118,43 +103,11 @@ class Scheduler
     /** A job body; must poll the token to honor cancellation. */
     using JobFn = std::function<void(const CancelToken &)>;
 
-    /**
-     * One member of a micro-batch handed to the BatchFn executor. The
-     * payload is the opaque per-request state the submitter attached
-     * (the server's pending-run record); the executor downcasts it.
-     */
-    struct BatchItem
-    {
-        std::uint64_t id = 0;
-        Lane lane = Lane::Interactive;
-        CancelToken token;
-        std::shared_ptr<void> payload;
-    };
-
-    /**
-     * Executes one micro-batch (1..batchMaxLanes compatible members).
-     * Must answer every member -- including ones whose token is
-     * already cancelled -- exactly as the scalar path would.
-     */
-    using BatchFn = std::function<void(std::vector<BatchItem> &)>;
-
     struct Options
     {
         std::size_t numWorkers = 2;
         std::size_t maxQueued = 32;     //!< waiting jobs across both lanes
         std::size_t batchBoostEvery = 4; //!< see file comment
-        /** Max members per micro-batch (SIMD lane count upstream). */
-        std::size_t batchMaxLanes = 8;
-        /**
-         * How long a dispatching worker may hold an under-full batch
-         * open for more compatible arrivals. Zero batches only what is
-         * already queued (purely opportunistic).
-         */
-        std::chrono::milliseconds batchWindow{0};
-        /** Interactive-lane seeds dispatch immediately, never waiting. */
-        bool batchWindowInteractiveBypass = true;
-        /** Executor for batchable jobs; required by submitBatchable(). */
-        BatchFn batchExecutor;
     };
 
     enum class Admission
@@ -182,16 +135,6 @@ class Scheduler
         std::uint64_t deadlineExpiredQueued = 0;
         std::uint64_t dispatchedInteractive = 0;
         std::uint64_t dispatchedBatch = 0;
-        /** Executor dispatches with >= 2 members. */
-        std::uint64_t batchesDispatched = 0;
-        /** Jobs that ran in a >= 2 member batch. */
-        std::uint64_t batchedJobs = 0;
-        /** Batchable jobs that ran alone (no compatible peer found). */
-        std::uint64_t batchScalarFallbacks = 0;
-        /** Dispatches that held the batching window open. */
-        std::uint64_t batchWindowWaits = 0;
-        /** Largest batch ever dispatched. */
-        std::size_t batchMaxOccupancy = 0;
         std::size_t queuedNow = 0;
         std::size_t runningNow = 0;
     };
@@ -222,21 +165,6 @@ class Scheduler
                deadline = std::nullopt);
 
     /**
-     * Enqueue a batchable job: instead of a body, it carries the
-     * lane-compatibility key (nonzero; equal keys may share one SoA
-     * pass) and an opaque payload for the BatchFn executor, which
-     * must be configured in Options. Admission, fairness, deadlines
-     * and cancellation behave exactly as for submit().
-     */
-    SubmitResult
-    submitBatchable(std::uint64_t id, Lane lane,
-                    const std::string &client_id,
-                    std::uint64_t batch_key,
-                    std::shared_ptr<void> payload,
-                    std::optional<std::chrono::steady_clock::time_point>
-                        deadline = std::nullopt);
-
-    /**
      * Flag a queued or running job's token. Returns false when the id
      * is unknown (never admitted, or already completed).
      */
@@ -262,10 +190,6 @@ class Scheduler
 
     /** Time jobs spent queued before dispatch, per lane (microseconds). */
     telemetry::TailLatency::Snapshot queueWaitSnapshot(Lane lane) const;
-    /** Members per executor dispatch (the lanes-occupied histogram). */
-    telemetry::TailLatency::Snapshot batchOccupancySnapshot() const;
-    /** Extra delay the batching window added per dispatch (microseconds). */
-    telemetry::TailLatency::Snapshot batchWindowDelaySnapshot() const;
 
   private:
     /** Per-lane client-fair queue: round-robin of per-client FIFOs. */
@@ -274,8 +198,6 @@ class Scheduler
         std::uint64_t id = 0;
         Lane lane = Lane::Interactive;
         JobFn fn;
-        std::uint64_t batchKey = 0; //!< nonzero routes to batchExecutor
-        std::shared_ptr<void> payload;
         CancelToken token;
         std::optional<std::chrono::steady_clock::time_point> deadline;
         std::chrono::steady_clock::time_point enqueued;
@@ -293,12 +215,6 @@ class Scheduler
     };
 
     bool popNextLocked(Job &out);
-    SubmitResult submitLocked(const std::string &client_id, Job entry);
-    void noteDispatchLocked(Job &job);
-    std::size_t collectPeersLocked(std::uint64_t key, std::size_t max,
-                                   std::vector<Job> &out);
-    void gatherBatchLocked(const Job &seed, std::vector<Job> &peers,
-                           std::unique_lock<std::mutex> &lock);
     void workerLoop();
 
     const Options options_;
@@ -312,8 +228,6 @@ class Scheduler
     bool draining_ = false;
     Stats stats_;
     telemetry::TailLatency queueWait_[2];
-    telemetry::TailLatency batchOccupancy_;
-    telemetry::TailLatency batchWindowDelay_;
 };
 
 } // namespace ecolo::serve

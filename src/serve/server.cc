@@ -8,7 +8,6 @@
 
 #include "core/checkpoint.hh"
 #include "core/engine.hh"
-#include "core/lane_batch.hh"
 #include "core/report.hh"
 #include "core/scenario.hh"
 #include "telemetry/telemetry.hh"
@@ -51,48 +50,15 @@ replyError(util::TcpConnection &conn, std::uint64_t request_id,
                      encodeError(ErrorPayload{code, message}));
 }
 
-/**
- * Everything a batchable admitted run needs, parked in the scheduler
- * queue as the BatchItem payload until a dispatching worker packs it
- * into a LaneBatchRunner lane.
- */
-struct PendingRun
-{
-    std::shared_ptr<util::TcpConnection> conn; //!< null: journal replay
-    std::uint64_t id = 0;
-    SubmitPayload request;
-    core::SimulationConfig config;
-    CacheKey key;
-    std::optional<std::chrono::steady_clock::time_point> deadline;
-    std::chrono::steady_clock::time_point received;
-    /** Gate the submit handler opens after writing ACCEPTED. */
-    std::shared_future<void> acceptedSent;
-};
-
 } // namespace
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      scheduler_([&] {
-          Scheduler::Options o;
-          o.numWorkers = options_.numWorkers;
-          o.maxQueued = options_.maxQueued;
-          o.batchBoostEvery = options_.batchBoostEvery;
-          if (options_.batching) {
-              o.batchMaxLanes = options_.batchMaxLanes;
-              o.batchWindow =
-                  std::chrono::milliseconds(options_.batchWindowMs);
-              o.batchExecutor =
-                  [this](std::vector<Scheduler::BatchItem> &items) {
-                      runSimulationBatch(items);
-                  };
-          }
-          return o;
-      }()),
+      scheduler_(Scheduler::Options{options_.numWorkers,
+                                    options_.maxQueued,
+                                    options_.batchBoostEvery}),
       cache_(options_.cacheMaxBytes, options_.cacheMaxEntries),
-      setupCache_(options_.batching
-                      ? std::make_shared<core::SetupCache>()
-                      : nullptr)
+      setupCache_(std::make_shared<core::SetupCache>())
 {}
 
 Server::~Server()
@@ -325,7 +291,11 @@ prepareSubmitPayload(SubmitPayload &request,
 util::Result<PreparedSubmit>
 Server::prepareRequest(SubmitPayload &request)
 {
-    return prepareSubmitPayload(request, options_.maxHorizonMinutes);
+    auto prepared =
+        prepareSubmitPayload(request, options_.maxHorizonMinutes);
+    if (prepared)
+        prepared.value().config.setupCache = setupCache_;
+    return prepared;
 }
 
 void
@@ -386,37 +356,15 @@ Server::handleSubmit(std::shared_ptr<util::TcpConnection> conn,
     // stream), so it waits on a gate the handler opens after replying.
     auto gate = std::make_shared<std::promise<void>>();
     std::shared_future<void> accepted_sent = gate->get_future().share();
-    Scheduler::SubmitResult submitted;
-    if (setupCache_) {
-        auto run = std::make_shared<PendingRun>();
-        run->conn = conn;
-        run->id = id;
-        run->request = request;
-        run->config = prepared.value().config;
-        run->config.setupCache = setupCache_;
-        run->key = key;
-        run->deadline = deadline;
-        run->received = received;
-        run->acceptedSent = accepted_sent;
-        // Key first: std::move(run) below may be evaluated before a
-        // sibling argument (order is unspecified).
-        const std::uint64_t batch_key = core::laneCompatibilityKey(
-            run->config, request.horizonMinutes);
-        submitted = scheduler_.submitBatchable(id, lane,
-                                               request.clientId,
-                                               batch_key,
-                                               std::move(run), deadline);
-    } else {
-        auto job = [this, conn, id, request,
-                    config = prepared.value().config, key, deadline,
-                    received, accepted_sent](const CancelToken &token) {
-            accepted_sent.wait();
-            runSimulationJob(conn, id, request, config, key, token,
-                             deadline, received);
-        };
-        submitted = scheduler_.submit(id, lane, request.clientId,
-                                      std::move(job), deadline);
-    }
+    auto job = [this, conn, id, request, config = prepared.value().config,
+                key, deadline, received,
+                accepted_sent](const CancelToken &token) {
+        accepted_sent.wait();
+        runSimulationJob(conn, id, request, config, key, token, deadline,
+                         received);
+    };
+    const Scheduler::SubmitResult submitted = scheduler_.submit(
+        id, lane, request.clientId, std::move(job), deadline);
     switch (submitted.admission) {
     case Scheduler::Admission::Admitted: {
         const std::uint32_t ahead =
@@ -465,32 +413,16 @@ Server::replayRecovered()
             continue;
         }
         const auto received = std::chrono::steady_clock::now();
-        Scheduler::SubmitResult submitted;
-        if (setupCache_) {
-            auto run = std::make_shared<PendingRun>();
-            run->id = pending.id;
-            run->request = request;
-            run->config = prepared.value().config;
-            run->config.setupCache = setupCache_;
-            run->key = prepared.value().key;
-            run->received = received;
-            const std::uint64_t batch_key = core::laneCompatibilityKey(
-                run->config, request.horizonMinutes);
-            submitted = scheduler_.submitBatchable(
-                pending.id, prepared.value().lane, request.clientId,
-                batch_key, std::move(run));
-        } else {
-            auto job = [this, id = pending.id, request,
-                        config = prepared.value().config,
-                        key = prepared.value().key,
-                        received](const CancelToken &token) {
-                runSimulationJob(nullptr, id, request, config, key,
-                                 token, std::nullopt, received);
-            };
-            submitted =
-                scheduler_.submit(pending.id, prepared.value().lane,
-                                  request.clientId, std::move(job));
-        }
+        auto job = [this, id = pending.id, request,
+                    config = prepared.value().config,
+                    key = prepared.value().key,
+                    received](const CancelToken &token) {
+            runSimulationJob(nullptr, id, request, config, key, token,
+                             std::nullopt, received);
+        };
+        const Scheduler::SubmitResult submitted =
+            scheduler_.submit(pending.id, prepared.value().lane,
+                              request.clientId, std::move(job));
         if (submitted.admission != Scheduler::Admission::Admitted) {
             // Stays pending in the journal; the next restart retries.
             ecolo::warn("serve: journal replay of request ", pending.id,
@@ -533,153 +465,12 @@ Server::recordJournalOutcome(std::uint64_t request_id,
     }
 }
 
-std::unique_ptr<core::Simulation>
-Server::startSimulation(
-    const std::shared_ptr<util::TcpConnection> &conn,
-    std::uint64_t request_id, const SubmitPayload &request,
-    const core::SimulationConfig &config, const CancelToken &token,
-    std::optional<std::chrono::steady_clock::time_point> deadline,
-    std::chrono::steady_clock::time_point received)
-{
-    auto policy =
-        core::tryMakePolicyByName(config, request.policy, request.param);
-    if (!policy) {
-        // Unreachable after prepareRequest's validation; fail loudly
-        // rather than silently if the name sets ever diverge.
-        if (conn)
-            replyError(*conn, request_id, RpcErrorCode::Internal,
-                       policy.error().message);
-        recordJournalOutcome(request_id, JournalOutcome::Error);
-        recordLatency(request.priority == Priority::Batch
-                          ? Lane::Batch
-                          : Lane::Interactive,
-                      received);
-        if (!conn)
-            journalReplayed_.fetch_add(1, std::memory_order_relaxed);
-        return nullptr;
-    }
-    auto sim = std::make_unique<core::Simulation>(config, policy.take());
-    // The engine polls this once per simulated minute: cancellation and
-    // the deadline share one cooperative mechanism. The clock check is
-    // throttled -- steady_clock::now() per minute would dominate the
-    // ~200 ns streaming slot loop.
-    sim->setCancelCheck([token, deadline, calls = 0]() mutable {
-        if (token.cancelled())
-            return true;
-        if (deadline && (++calls & 63) == 0 &&
-            std::chrono::steady_clock::now() >= *deadline) {
-            token.cancel(CancelReason::Deadline);
-            return true;
-        }
-        return false;
-    });
-    return sim;
-}
-
 void
 Server::runSimulationJob(
     std::shared_ptr<util::TcpConnection> conn, std::uint64_t request_id,
     const SubmitPayload &request, const core::SimulationConfig &config,
     const CacheKey &key, const CancelToken &token,
     std::optional<std::chrono::steady_clock::time_point> deadline,
-    std::chrono::steady_clock::time_point received)
-{
-    auto sim = startSimulation(conn, request_id, request, config, token,
-                               deadline, received);
-    if (!sim)
-        return;
-
-    const MinuteIndex horizon = request.horizonMinutes;
-    while (sim->now() < horizon && !token.cancelled()) {
-        const MinuteIndex chunk = std::min<MinuteIndex>(
-            options_.statusEveryMinutes, horizon - sim->now());
-        sim->run(chunk);
-        // A failed STATUS write means the client went away; keep
-        // simulating anyway so the completed run still fills the cache.
-        if (conn && sim->now() < horizon && !token.cancelled())
-            (void)writeFrame(*conn, MessageType::Status, request_id,
-                             encodeStatus(
-                                 StatusPayload{sim->now(), horizon}));
-    }
-
-    concludeSimulation(conn, request_id, request, config, key, token,
-                       *sim, received);
-}
-
-void
-Server::runSimulationBatch(std::vector<Scheduler::BatchItem> &items)
-{
-    struct Member
-    {
-        PendingRun *run = nullptr;
-        CancelToken token;
-        std::unique_ptr<core::Simulation> sim;
-    };
-    std::vector<Member> members;
-    members.reserve(items.size());
-    // The batch cannot touch any member's socket until every member's
-    // submit handler has written its ACCEPTED frame (same gate the
-    // scalar path waits on, per member).
-    for (Scheduler::BatchItem &item : items) {
-        auto *run = static_cast<PendingRun *>(item.payload.get());
-        if (run->acceptedSent.valid())
-            run->acceptedSent.wait();
-        members.push_back(Member{run, item.token, nullptr});
-    }
-
-    // Lane packing: all members share a compatibility key, so they land
-    // in one LaneBatchRunner group and advance through a single SoA
-    // bank pass per slot. A member whose policy fails to build has
-    // already been answered and simply takes no lane.
-    core::LaneBatchRunner runner;
-    for (Member &member : members) {
-        member.sim = startSimulation(
-            member.run->conn, member.run->id, member.run->request,
-            member.run->config, member.token, member.run->deadline,
-            member.run->received);
-        if (member.sim)
-            runner.add(*member.sim,
-                       member.run->request.horizonMinutes);
-    }
-
-    // Same chunking as the scalar loop: STATUS frames land at the same
-    // simulated-minute boundaries, and a lane that cancels or finishes
-    // mid-chunk is retired by the runner exactly where sim.run would
-    // have stopped. Cancellation is masked per-lane divergence: a
-    // cancelled lane's batchmates keep advancing undisturbed.
-    while (!runner.finished()) {
-        runner.run(options_.statusEveryMinutes);
-        for (Member &member : members) {
-            if (!member.sim)
-                continue;
-            const MinuteIndex horizon =
-                member.run->request.horizonMinutes;
-            if (member.run->conn && member.sim->now() < horizon &&
-                !member.token.cancelled())
-                (void)writeFrame(
-                    *member.run->conn, MessageType::Status,
-                    member.run->id,
-                    encodeStatus(
-                        StatusPayload{member.sim->now(), horizon}));
-        }
-    }
-
-    for (Member &member : members) {
-        if (!member.sim)
-            continue;
-        concludeSimulation(member.run->conn, member.run->id,
-                           member.run->request, member.run->config,
-                           member.run->key, member.token, *member.sim,
-                           member.run->received);
-    }
-}
-
-void
-Server::concludeSimulation(
-    const std::shared_ptr<util::TcpConnection> &conn,
-    std::uint64_t request_id, const SubmitPayload &request,
-    const core::SimulationConfig &config, const CacheKey &key,
-    const CancelToken &token, core::Simulation &sim,
     std::chrono::steady_clock::time_point received)
 {
     const Lane lane = request.priority == Priority::Batch
@@ -694,7 +485,46 @@ Server::concludeSimulation(
         if (!conn)
             journalReplayed_.fetch_add(1, std::memory_order_relaxed);
     };
+
+    auto policy =
+        core::tryMakePolicyByName(config, request.policy, request.param);
+    if (!policy) {
+        // Unreachable after prepareRequest's validation; fail loudly
+        // rather than silently if the name sets ever diverge.
+        if (conn)
+            replyError(*conn, request_id, RpcErrorCode::Internal,
+                       policy.error().message);
+        finish(JournalOutcome::Error);
+        return;
+    }
+    core::Simulation sim(config, policy.take());
+    // The engine polls this once per simulated minute: cancellation and
+    // the deadline share one cooperative mechanism. The clock check is
+    // throttled -- steady_clock::now() per minute would dominate the
+    // ~200 ns streaming slot loop.
+    sim.setCancelCheck([token, deadline, calls = 0]() mutable {
+        if (token.cancelled())
+            return true;
+        if (deadline && (++calls & 63) == 0 &&
+            std::chrono::steady_clock::now() >= *deadline) {
+            token.cancel(CancelReason::Deadline);
+            return true;
+        }
+        return false;
+    });
+
     const MinuteIndex horizon = request.horizonMinutes;
+    while (sim.now() < horizon && !token.cancelled()) {
+        const MinuteIndex chunk = std::min<MinuteIndex>(
+            options_.statusEveryMinutes, horizon - sim.now());
+        sim.run(chunk);
+        // A failed STATUS write means the client went away; keep
+        // simulating anyway so the completed run still fills the cache.
+        if (conn && sim.now() < horizon && !token.cancelled())
+            (void)writeFrame(*conn, MessageType::Status, request_id,
+                             encodeStatus(
+                                 StatusPayload{sim.now(), horizon}));
+    }
 
     if (token.cancelled()) {
         if (token.reason() == CancelReason::Deadline) {
@@ -816,31 +646,6 @@ Server::metricsJson() const
     set("serve.dispatch.interactive",
         static_cast<double>(sched.dispatchedInteractive));
     set("serve.dispatch.batch", static_cast<double>(sched.dispatchedBatch));
-    set("serve.batch.batches",
-        static_cast<double>(sched.batchesDispatched));
-    set("serve.batch.batched_requests",
-        static_cast<double>(sched.batchedJobs));
-    set("serve.batch.scalar_fallbacks",
-        static_cast<double>(sched.batchScalarFallbacks));
-    set("serve.batch.window_waits",
-        static_cast<double>(sched.batchWindowWaits));
-    set("serve.batch.max_occupancy",
-        static_cast<double>(sched.batchMaxOccupancy));
-    const telemetry::TailLatency::Snapshot occupancy =
-        scheduler_.batchOccupancySnapshot();
-    set("serve.batch.occupancy.count",
-        static_cast<double>(occupancy.count));
-    set("serve.batch.occupancy.mean", occupancy.mean);
-    set("serve.batch.occupancy.p50", occupancy.p50);
-    set("serve.batch.occupancy.p99", occupancy.p99);
-    set("serve.batch.occupancy.max", occupancy.max);
-    const telemetry::TailLatency::Snapshot window =
-        scheduler_.batchWindowDelaySnapshot();
-    set("serve.batch.window_delay.count",
-        static_cast<double>(window.count));
-    set("serve.batch.window_delay.mean_us", window.mean);
-    set("serve.batch.window_delay.p99_us", window.p99);
-    set("serve.batch.window_delay.max_us", window.max);
     const core::SetupCache::Counters setup = setupCacheCounters();
     set("serve.setup_cache.hits",
         static_cast<double>(setup.traceHits + setup.scaleHits +

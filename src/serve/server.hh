@@ -47,10 +47,6 @@
 #include "util/result.hh"
 #include "util/socket.hh"
 
-namespace ecolo::core {
-class Simulation;
-}
-
 namespace ecolo::serve {
 
 /**
@@ -85,21 +81,6 @@ struct ServerOptions
     std::size_t numWorkers = 2;    //!< concurrent simulations
     std::size_t maxQueued = 32;    //!< admission bound (both lanes)
     std::size_t batchBoostEvery = 4;
-    /**
-     * Cross-request micro-batching: lane-compatible admitted runs
-     * (same server count, thermal key, and horizon) share one SoA
-     * LaneThermalBank pass and one process-wide core::SetupCache.
-     * Responses stay byte-identical to the scalar path. Off restores
-     * the one-job-per-worker dispatch exactly as before.
-     */
-    bool batching = true;
-    /** Members per micro-batch (clamped to the SIMD lane count). */
-    std::size_t batchMaxLanes = 8;
-    /**
-     * How long a batch-lane dispatch may hold an under-full batch open
-     * for more compatible arrivals. Interactive requests never wait.
-     */
-    std::uint32_t batchWindowMs = 2;
     std::size_t cacheMaxBytes = 32u << 20;
     std::size_t cacheMaxEntries = 1024;
     /** RETRY_AFTER hint handed to backpressured clients. */
@@ -157,12 +138,8 @@ class Server
     /** Introspection for tests and the stats endpoint. */
     ResultCache::Stats cacheStats() const { return cache_.stats(); }
     Scheduler::Stats schedulerStats() const { return scheduler_.stats(); }
-    /** Zeroed counters when batching (and thus the cache) is off. */
     core::SetupCache::Counters setupCacheCounters() const
-    {
-        return setupCache_ ? setupCache_->counters()
-                           : core::SetupCache::Counters{};
-    }
+    { return setupCache_->counters(); }
 
     /** Journal counters (zeros when no journalDir is configured). */
     struct JournalStats
@@ -193,7 +170,10 @@ class Server
     void handleConnection(std::shared_ptr<util::TcpConnection> conn);
     void handleSubmit(std::shared_ptr<util::TcpConnection> conn,
                       const Frame &frame);
-    /** prepareSubmitPayload with this server's horizon bound. */
+    /**
+     * prepareSubmitPayload with this server's horizon bound; the
+     * config shares this server's setupCache_.
+     */
     util::Result<PreparedSubmit> prepareRequest(SubmitPayload &request);
     /**
      * Run one admitted simulation. `conn` may be null (journal replay):
@@ -206,36 +186,6 @@ class Server
         const core::SimulationConfig &config, const CacheKey &key,
         const CancelToken &token,
         std::optional<std::chrono::steady_clock::time_point> deadline,
-        std::chrono::steady_clock::time_point received);
-    /**
-     * Run one micro-batch of admitted simulations as lanes of a
-     * LaneBatchRunner (the scheduler's BatchFn). Every member is
-     * answered exactly as runSimulationJob would: same frames, same
-     * journal outcomes, same cache fills, byte-identical reports.
-     */
-    void runSimulationBatch(std::vector<Scheduler::BatchItem> &items);
-    /**
-     * Policy construction + Simulation + cooperative cancel check, the
-     * common prologue of the scalar and batched paths. Null after an
-     * error (already answered and journaled).
-     */
-    std::unique_ptr<core::Simulation> startSimulation(
-        const std::shared_ptr<util::TcpConnection> &conn,
-        std::uint64_t request_id, const SubmitPayload &request,
-        const core::SimulationConfig &config, const CancelToken &token,
-        std::optional<std::chrono::steady_clock::time_point> deadline,
-        std::chrono::steady_clock::time_point received);
-    /**
-     * Terminal handling once a run stopped simulating (cancelled,
-     * drained, deadline, or horizon reached): frames, checkpoint,
-     * cache fill, journal outcome, latency. Shared verbatim by the
-     * scalar and batched paths so responses cannot diverge.
-     */
-    void concludeSimulation(
-        const std::shared_ptr<util::TcpConnection> &conn,
-        std::uint64_t request_id, const SubmitPayload &request,
-        const core::SimulationConfig &config, const CacheKey &key,
-        const CancelToken &token, core::Simulation &sim,
         std::chrono::steady_clock::time_point received);
     void replayRecovered();
     void recordLatency(Lane lane,
@@ -250,7 +200,10 @@ class Server
 
     Scheduler scheduler_;
     ResultCache cache_;
-    /** Process-wide setup artifact cache; null when batching is off. */
+    /**
+     * Process-wide setup artifact cache: every admitted run shares its
+     * trace sets, scale factors, heat matrices and factorizations.
+     */
     std::shared_ptr<core::SetupCache> setupCache_;
     std::unique_ptr<RequestJournal> journal_;
     mutable telemetry::TailLatency latency_[2];

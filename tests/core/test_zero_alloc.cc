@@ -190,9 +190,8 @@ TEST(ZeroAllocation, LaneBatchSlotLoopIsAllocationFree)
 
 TEST(ZeroAllocation, ServeStyleBatchedLaneLoopIsAllocationFree)
 {
-    // The serving tier's micro-batch executor drives the same runner in
-    // statusEveryMinutes-sized chunks with a per-lane cancel check
-    // installed (the scheduler token poll). Neither the chunked
+    // Drive the runner in status-sized chunks with a per-lane cancel
+    // check installed (a serve-style token poll). Neither the chunked
     // re-entry, nor the armed cancel branch, nor retiring a cancelled
     // lane mid-measurement may touch the heap.
     auto cache = std::make_shared<SetupCache>();

@@ -218,10 +218,12 @@ TEST(ServeSchedulerParallel, ClientsAreServedRoundRobinWithinALane)
     harness.finish();
 
     // Round-robin: late's single job is dispatched after at most one
-    // more hog job, never behind the whole backlog.
+    // more hog job, never behind the whole backlog; and each client's
+    // own jobs run in submit order (strict per-client FIFO).
     const std::vector<int> order = log.order();
     ASSERT_EQ(order.size(), 5u);
     EXPECT_EQ(order[1], 50);
+    EXPECT_EQ(order, (std::vector<int>{10, 50, 11, 12, 13}));
 }
 
 TEST(ServeSchedulerParallel, AdmissionIsBoundedAndReportsQueueFull)
@@ -402,236 +404,6 @@ TEST(ServeSchedulerParallel, DrainWithCancelFlagsInFlightWithDrainReason)
     EXPECT_EQ(reason.load(), static_cast<int>(CancelReason::Drain));
 }
 
-// ---- Cross-request micro-batching. ----
-
-/** Thread-safe recorder of every executor invocation's member ids. */
-class BatchLog
-{
-  public:
-    Scheduler::BatchFn
-    executor()
-    {
-        return [this](std::vector<Scheduler::BatchItem> &items) {
-            std::vector<std::uint64_t> ids;
-            std::vector<bool> cancelled;
-            ids.reserve(items.size());
-            for (const Scheduler::BatchItem &item : items) {
-                ids.push_back(item.id);
-                cancelled.push_back(item.token.cancelled());
-            }
-            std::lock_guard<std::mutex> lock(mutex_);
-            batches_.push_back(std::move(ids));
-            cancelled_.push_back(std::move(cancelled));
-        };
-    }
-
-    std::vector<std::vector<std::uint64_t>>
-    batches()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return batches_;
-    }
-
-    std::vector<std::vector<bool>>
-    cancelledMasks()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return cancelled_;
-    }
-
-  private:
-    std::mutex mutex_;
-    std::vector<std::vector<std::uint64_t>> batches_;
-    std::vector<std::vector<bool>> cancelled_;
-};
-
-TEST(ServeSchedulerParallel, CompatibleJobsCoalesceIntoOneBatch)
-{
-    BatchLog log;
-    Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    options.batchMaxLanes = 8;
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
-
-    Gate gate;
-    harness->submit(1, Lane::Batch, "warm", gate.job());
-    gate.waitEntered(); // everything below queues behind the gate
-
-    for (int i = 0; i < 6; ++i) {
-        ASSERT_EQ(harness
-                      ->submitBatchable(
-                          static_cast<std::uint64_t>(10 + i),
-                          Lane::Batch, "c" + std::to_string(i % 3),
-                          /*batch_key=*/77, nullptr)
-                      .admission,
-                  Scheduler::Admission::Admitted);
-    }
-
-    gate.release();
-    harness.finish();
-
-    // All six compatible jobs ran as a single executor call.
-    const auto batches = log.batches();
-    ASSERT_EQ(batches.size(), 1u);
-    EXPECT_EQ(batches[0].size(), 6u);
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.batchesDispatched, 1u);
-    EXPECT_EQ(stats.batchedJobs, 6u);
-    EXPECT_EQ(stats.batchScalarFallbacks, 0u);
-    EXPECT_EQ(stats.batchMaxOccupancy, 6u);
-    EXPECT_EQ(stats.completed, 7u); // gate + 6 members
-}
-
-TEST(ServeSchedulerParallel, BatchRespectsMaxLanesBound)
-{
-    BatchLog log;
-    Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    options.batchMaxLanes = 4;
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
-
-    Gate gate;
-    harness->submit(1, Lane::Batch, "warm", gate.job());
-    gate.waitEntered();
-
-    for (int i = 0; i < 10; ++i)
-        harness->submitBatchable(static_cast<std::uint64_t>(10 + i),
-                                 Lane::Batch, "c", 77, nullptr);
-
-    gate.release();
-    harness.finish();
-
-    // 10 jobs, 4 lanes: no executor call may exceed the bound, and
-    // every job must run exactly once.
-    std::size_t total = 0;
-    for (const auto &batch : log.batches()) {
-        EXPECT_LE(batch.size(), 4u);
-        total += batch.size();
-    }
-    EXPECT_EQ(total, 10u);
-    EXPECT_EQ(harness->stats().batchMaxOccupancy, 4u);
-}
-
-TEST(ServeSchedulerParallel, MixedKeysNeverShareABatch)
-{
-    BatchLog log;
-    Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
-
-    Gate gate;
-    harness->submit(1, Lane::Batch, "warm", gate.job());
-    gate.waitEntered();
-
-    // Interleaved keys: 11,22,11,22,...
-    for (int i = 0; i < 8; ++i)
-        harness->submitBatchable(static_cast<std::uint64_t>(10 + i),
-                                 Lane::Batch, "c",
-                                 (i % 2 == 0) ? 11u : 22u, nullptr);
-
-    gate.release();
-    harness.finish();
-
-    // Jobs 10,12,14,16 carry key 11; 11,13,15,17 carry key 22. Every
-    // dispatched batch must be key-homogeneous.
-    for (const auto &batch : log.batches()) {
-        for (const std::uint64_t id : batch)
-            EXPECT_EQ(id % 2, batch.front() % 2) << "mixed-key batch";
-    }
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.batchedJobs + stats.batchScalarFallbacks, 8u);
-}
-
-TEST(ServeSchedulerParallel, BatchWindowCollectsLateArrivals)
-{
-    BatchLog log;
-    Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    options.batchWindow = 250ms;
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
-
-    // The seed dispatches alone into the window wait; the late arrival
-    // lands inside the window and must join the same batch. Poll the
-    // stat so the "late" submit provably happens inside the window.
-    harness->submitBatchable(1, Lane::Batch, "a", 77, nullptr);
-    while (harness->stats().batchWindowWaits == 0)
-        std::this_thread::sleep_for(1ms);
-    harness->submitBatchable(2, Lane::Batch, "b", 77, nullptr);
-    harness.finish();
-
-    const auto batches = log.batches();
-    ASSERT_EQ(batches.size(), 1u);
-    EXPECT_EQ(batches[0].size(), 2u);
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.batchesDispatched, 1u);
-    EXPECT_GE(stats.batchWindowWaits, 1u);
-    EXPECT_GE(harness->batchWindowDelaySnapshot().count, 1u);
-}
-
-TEST(ServeSchedulerParallel, InteractiveSeedBypassesTheWindow)
-{
-    BatchLog log;
-    Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    options.batchWindow = 10000ms; // would hang the test if waited on
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
-
-    harness->submitBatchable(1, Lane::Interactive, "a", 77, nullptr);
-    harness.finish();
-
-    // The interactive seed dispatched immediately, alone, without ever
-    // opening the window.
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.batchWindowWaits, 0u);
-    EXPECT_EQ(stats.batchScalarFallbacks, 1u);
-    ASSERT_EQ(log.batches().size(), 1u);
-    EXPECT_EQ(log.batches()[0].size(), 1u);
-}
-
-TEST(ServeSchedulerParallel, CancelledMemberStaysInBatchAsMaskedLane)
-{
-    BatchLog log;
-    Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
-
-    Gate gate;
-    harness->submit(1, Lane::Batch, "warm", gate.job());
-    gate.waitEntered();
-
-    harness->submitBatchable(10, Lane::Batch, "a", 77, nullptr);
-    harness->submitBatchable(11, Lane::Batch, "b", 77, nullptr);
-    harness->submitBatchable(12, Lane::Batch, "c", 77, nullptr);
-    EXPECT_TRUE(harness->cancel(11, CancelReason::Client));
-
-    gate.release();
-    harness.finish();
-
-    // The cancelled member is still dispatched (the executor answers it
-    // with CANCELLED) and only its token reads cancelled.
-    const auto batches = log.batches();
-    const auto masks = log.cancelledMasks();
-    ASSERT_EQ(batches.size(), 1u);
-    ASSERT_EQ(batches[0].size(), 3u);
-    for (std::size_t i = 0; i < batches[0].size(); ++i)
-        EXPECT_EQ(masks[0][i], batches[0][i] == 11);
-    const auto stats = harness->stats();
-    EXPECT_EQ(stats.cancelled, 1u);
-    EXPECT_EQ(stats.completed, 3u); // gate + members 10 and 12
-}
-
 TEST(ServeSchedulerParallel, QueueWaitIsRecordedPerLane)
 {
     Scheduler::Options options;
@@ -656,33 +428,6 @@ TEST(ServeSchedulerParallel, QueueWaitIsRecordedPerLane)
     EXPECT_EQ(inter.count, 2u); // the gate job + request 2
     EXPECT_EQ(batch.count, 1u);
     EXPECT_GE(batch.max, 5000.0); // queued >= 5ms, recorded in us
-}
-
-TEST(ServeSchedulerParallel, DrainCompletesQueuedBatchableJobs)
-{
-    BatchLog log;
-    Scheduler::Options options;
-    options.numWorkers = 1;
-    options.maxQueued = 64;
-    options.batchWindow = 10000ms;
-    options.batchExecutor = log.executor();
-    SchedulerHarness harness(options);
-
-    Gate gate;
-    harness->submit(1, Lane::Batch, "warm", gate.job());
-    gate.waitEntered();
-    for (int i = 0; i < 3; ++i)
-        harness->submitBatchable(static_cast<std::uint64_t>(10 + i),
-                                 Lane::Batch, "c", 77, nullptr);
-    gate.release();
-    harness.finish(); // drain(false): queued work must still run, and
-                      // the window must not hold the drain open
-
-    std::size_t total = 0;
-    for (const auto &batch : log.batches())
-        total += batch.size();
-    EXPECT_EQ(total, 3u);
-    EXPECT_EQ(harness->stats().queuedNow, 0u);
 }
 
 TEST(ServeSchedulerParallel, ConcurrentMixedClientsAllComplete)

@@ -13,16 +13,6 @@
  *   --cache-entries N result-cache entry budget (default 1024)
  *   --retry-after-ms N  backpressure hint for rejected clients
  *   --status-every N  STATUS frame granularity in simulated minutes
- *   --batch-window-ms N  how long a dispatching worker holds an
- *                     under-full micro-batch open for more
- *                     lane-compatible arrivals (default 2; interactive
- *                     requests never wait; 0 = batch only what is
- *                     already queued)
- *   --batch-lanes N   members per micro-batch (default 8, the SIMD
- *                     lane count)
- *   --no-batching     dispatch one scalar simulation per worker (the
- *                     pre-batching behavior; also disables the shared
- *                     setup cache)
  *   --drain-dir DIR   on drain, checkpoint in-flight runs here instead
  *                     of running them to their horizon
  *   --journal-dir DIR write-ahead journal admitted requests here; a
@@ -85,8 +75,6 @@ printUsage(std::ostream &os)
           "[--retry-after-ms N]\n"
           "                       [--status-every MINUTES] "
           "[--drain-dir DIR]\n"
-          "                       [--batch-window-ms N] "
-          "[--batch-lanes N] [--no-batching]\n"
           "                       [--journal-dir DIR] [--chaos FILE]\n"
           "                       [--metrics-out FILE] "
           "[--log-level LEVEL]\n"
@@ -179,17 +167,6 @@ parseArgs(int argc, char **argv)
         } else if (std::strcmp(arg, "--status-every") == 0) {
             opts.server.statusEveryMinutes =
                 parsePositiveArg(arg, need_value(i, arg));
-        } else if (std::strcmp(arg, "--batch-window-ms") == 0) {
-            const long ms = parseLongArg(arg, need_value(i, arg));
-            if (ms < 0 || ms > 60000)
-                usageError("--batch-window-ms must be in [0, 60000], "
-                           "got ", ms);
-            opts.server.batchWindowMs = static_cast<std::uint32_t>(ms);
-        } else if (std::strcmp(arg, "--batch-lanes") == 0) {
-            opts.server.batchMaxLanes = static_cast<std::size_t>(
-                parsePositiveArg(arg, need_value(i, arg)));
-        } else if (std::strcmp(arg, "--no-batching") == 0) {
-            opts.server.batching = false;
         } else if (std::strcmp(arg, "--drain-dir") == 0) {
             opts.server.drainCheckpointDir = need_value(i, arg);
         } else if (std::strcmp(arg, "--journal-dir") == 0) {

@@ -328,8 +328,8 @@ BENCHMARK(BM_GatewayWarmRequest)->Unit(benchmark::kMillisecond);
 // parameter gives 64 distinct cache keys, so the result cache never
 // short-circuits a member. The two legs differ only in the scenario
 // seed: Arg(0) gives every request its own seed (each one computes
-// its trace set and scale factor), Arg(1) gives all of them one seed
-// (they share those through the server's SetupCache). The
+// its scaled trace set), Arg(1) gives all of them one seed (they share
+// it through the server's SetupCache). The
 // serve_{distinct,shared}_seed_requests_per_sec counters land in
 // BENCH_serve.json and their ratio is the CI-gated setup-sharing
 // gain. ----
@@ -416,8 +416,7 @@ BM_ServeCampaign64(benchmark::State &state)
     }
     const core::SetupCache::Counters setup = server.setupCacheCounters();
     state.counters["setup_cache_misses"] = static_cast<double>(
-        setup.traceMisses + setup.scaleMisses + setup.matrixMisses +
-        setup.factorizationMisses);
+        setup.traceMisses + setup.matrixMisses + setup.factorizationMisses);
 }
 BENCHMARK(BM_ServeCampaign64)
     ->Arg(0)

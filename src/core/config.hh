@@ -139,13 +139,16 @@ struct SimulationConfig
 
     // ---- Campaign acceleration ----
     /**
-     * Optional cache shared by campaign members (see core/setup_cache.hh):
-     * simulations constructed with the same cache reuse generated benign
-     * trace sets, the mean-power scale factor, the analytic heat matrix,
-     * and its temporal factorization instead of recomputing them. Purely
-     * a constructor-time accelerator -- behavior is bit-identical with or
-     * without it (every cached value is a deterministic function of the
-     * other config fields that key it). Never serialized.
+     * Cache shared by campaign members (see core/setup_cache.hh):
+     * simulations constructed with the same cache reuse the scaled
+     * benign trace set, the analytic heat matrix and its temporal
+     * factorization instead of recomputing them. When null, the
+     * Simulation constructor installs a private cache in its own copy
+     * of the config, so setup always takes one path. Purely a
+     * constructor-time accelerator -- behavior is bit-identical whether
+     * or not the cache is shared (every cached value is a deterministic
+     * function of the other config fields that key it). Never
+     * serialized.
      */
     std::shared_ptr<SetupCache> setupCache{};
 

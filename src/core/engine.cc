@@ -41,12 +41,23 @@ makeBenignTrace(const SimulationConfig &config, std::size_t tenant_index,
     return trace::DiurnalTraceGenerator(params).generate(horizon, rng);
 }
 
+/** Tenant k's trace in a scaled set: a one-trace set is the site-wide
+ * trace every tenant aliases. */
+std::shared_ptr<const trace::UtilizationTrace>
+tenantTrace(const std::shared_ptr<const SetupCache::TraceSet> &set,
+            std::size_t k)
+{
+    return {set, &(*set)[std::min(k, set->size() - 1)]};
+}
+
 } // namespace
 
 Simulation::Simulation(SimulationConfig config,
                        std::unique_ptr<AttackPolicy> policy)
     : config_([&] {
           config.validate();
+          if (!config.setupCache)
+              config.setupCache = std::make_shared<SetupCache>();
           return config;
       }()),
       layout_(config_.layout),
@@ -88,96 +99,49 @@ thermal::ThermalEnvironment
 Simulation::makeThermalEnvironment(const SimulationConfig &config,
                                    const power::DataCenterLayout &layout)
 {
-    if (config.setupCache) {
-        auto &cache = *config.setupCache;
-        auto matrix =
-            cache.matrix(SetupCache::matrixKey(config), [&] {
-                return thermal::HeatDistributionMatrix::analyticDefault(
-                    layout, config.matrixParams,
-                    config.matrixHorizonMinutes);
+    auto &cache = *config.setupCache;
+    auto matrix = cache.matrix(SetupCache::matrixKey(config), [&] {
+        return thermal::HeatDistributionMatrix::analyticDefault(
+            layout, config.matrixParams, config.matrixHorizonMinutes);
+    });
+    // The factorization is the single most expensive thermal setup step
+    // and is shared by the factorized and streaming kernels; the dense
+    // kernel never computes one, so do not force it here.
+    std::shared_ptr<const thermal::TemporalFactorization> factors;
+    if (config.thermalMode != thermal::KernelMode::Dense) {
+        factors = cache.factorization(
+            SetupCache::factorizationKey(config), [&] {
+                return thermal::TemporalFactorization::compute(
+                    *matrix, config.factorization);
             });
-        // The factorization is the single most expensive thermal setup
-        // step and is shared by the factorized and streaming kernels;
-        // the dense kernel never computes one, so do not force it here.
-        std::shared_ptr<const thermal::TemporalFactorization> factors;
-        if (config.thermalMode != thermal::KernelMode::Dense) {
-            factors = cache.factorization(
-                SetupCache::factorizationKey(config), [&] {
-                    return thermal::TemporalFactorization::compute(
-                        *matrix, config.factorization);
-                });
-        }
-        return thermal::ThermalEnvironment(
-            *matrix, config.cooling, 15.0, config.thermalMode,
-            config.factorization, std::move(factors));
     }
-    return thermal::ThermalEnvironment(
-        thermal::HeatDistributionMatrix::analyticDefault(
-            layout, config.matrixParams, config.matrixHorizonMinutes),
-        config.cooling, 15.0, config.thermalMode, config.factorization);
+    return thermal::ThermalEnvironment(*matrix, config.cooling, 15.0,
+                                       config.thermalMode,
+                                       config.factorization,
+                                       std::move(factors));
 }
 
-void
-Simulation::buildTenants()
+std::shared_ptr<const SetupCache::TraceSet>
+Simulation::makeScaledTraceSet(Rng &trace_rng)
 {
-    const std::size_t per_tenant = config_.serversPerBenignTenant();
-    benignTenants_.reserve(config_.numBenignTenants);
-    // Always fork, even when the trace cache hits: the fork advances
-    // rng_, and the engine's own stream must not depend on whether a
-    // cache was installed.
-    Rng trace_rng = rng_.fork();
-    SetupCache *cache = (config_.setupCache != nullptr &&
-                         config_.externalBenignTraces.empty())
-                            ? config_.setupCache.get()
-                            : nullptr;
-
-    std::shared_ptr<const SetupCache::TraceSet> cached_traces;
-    if (cache != nullptr) {
-        cached_traces = cache->traceSet(
-            SetupCache::traceSetKey(config_), [&] {
-                // Generation consumes trace_rng exactly as the uncached
-                // path below does, so hit and miss yield the same traces.
-                SetupCache::TraceSet set(config_.numBenignTenants);
-                if (config_.traceKind == TraceKind::GoogleStyle) {
-                    const trace::UtilizationTrace shared =
-                        makeBenignTrace(config_, 0, trace_rng);
-                    for (auto &t : set)
-                        t = shared;
-                } else {
-                    for (std::size_t k = 0; k < set.size(); ++k)
-                        set[k] = makeBenignTrace(config_, k, trace_rng);
-                }
-                return set;
-            });
-    }
-    // The alternate (Google-style) trace models ONE recorded cluster
-    // trace driving the whole site (the paper's "alternate total power
-    // trace"), so every tenant shares it; the default diurnal trace is
-    // per-tenant with jitter.
-    trace::UtilizationTrace shared_alternate;
-    if (cache == nullptr && config_.traceKind == TraceKind::GoogleStyle &&
-        config_.externalBenignTraces.empty()) {
-        shared_alternate = makeBenignTrace(config_, 0, trace_rng);
-    }
-    for (std::size_t k = 0; k < config_.numBenignTenants; ++k) {
-        benignTenants_.emplace_back("tenant-" + std::to_string(k + 1),
-                                    config_.benignSubscription(),
-                                    per_tenant, config_.serverSpec);
-        if (!config_.externalBenignTraces.empty()) {
-            benignTenants_.back().setTrace(
-                config_.externalBenignTraces[k]);
-        } else if (cached_traces != nullptr) {
-            benignTenants_.back().setTrace((*cached_traces)[k]);
-        } else if (!shared_alternate.empty()) {
-            benignTenants_.back().setTrace(shared_alternate);
-        } else {
-            benignTenants_.back().setTrace(
-                makeBenignTrace(config_, k, trace_rng));
-        }
+    auto set = std::make_shared<SetupCache::TraceSet>();
+    if (!config_.externalBenignTraces.empty()) {
+        *set = config_.externalBenignTraces;
+    } else if (config_.traceKind == TraceKind::GoogleStyle) {
+        // The alternate (Google-style) trace models ONE recorded cluster
+        // trace driving the whole site (the paper's "alternate total
+        // power trace"), so every tenant aliases it; the default diurnal
+        // trace is per-tenant with jitter.
+        set->push_back(makeBenignTrace(config_, 0, trace_rng));
+    } else {
+        for (std::size_t k = 0; k < config_.numBenignTenants; ++k)
+            set->push_back(makeBenignTrace(config_, k, trace_rng));
     }
 
     // Scale so that the *whole* data center (attacker idling on dummy
-    // workloads included) averages the configured utilization of capacity.
+    // workloads included) averages the configured utilization of
+    // capacity. The solve reads the set through the tenants, which the
+    // caller re-points at the published set afterwards.
     const Kilowatts attacker_standby =
         config_.serverSpec.powerAt(config_.attackerStandbyUtilization) *
         static_cast<double>(config_.attackerNumServers);
@@ -186,22 +150,43 @@ Simulation::buildTenants()
     ECOLO_ASSERT(target.value() > 0.0,
                  "average utilization target leaves no benign power");
     std::vector<power::Tenant *> tenant_ptrs;
-    for (auto &tenant : benignTenants_)
-        tenant_ptrs.push_back(&tenant);
-    if (cache != nullptr) {
-        const double factor = cache->scaleFactor(
-            SetupCache::scaleFactorKey(config_), [&] {
-                return power::computeMeanPowerScaleFactor(tenant_ptrs,
-                                                          target);
-            });
-        power::applyTraceScale(tenant_ptrs, factor);
-    } else {
-        power::scaleTenantsToMeanPower(tenant_ptrs, target);
+    for (std::size_t k = 0; k < benignTenants_.size(); ++k) {
+        benignTenants_[k].setTrace(tenantTrace(set, k));
+        tenant_ptrs.push_back(&benignTenants_[k]);
     }
+    const double factor =
+        power::computeMeanPowerScaleFactor(tenant_ptrs, target);
+    for (trace::UtilizationTrace &trace : *set)
+        trace.scale(factor);
+    return set;
+}
 
-    workloadFingerprint_ = config_.externalBenignTraces.empty()
-                               ? SetupCache::scaleFactorKey(config_)
-                               : 0;
+void
+Simulation::buildTenants()
+{
+    const std::size_t per_tenant = config_.serversPerBenignTenant();
+    benignTenants_.reserve(config_.numBenignTenants);
+    for (std::size_t k = 0; k < config_.numBenignTenants; ++k) {
+        benignTenants_.emplace_back("tenant-" + std::to_string(k + 1),
+                                    config_.benignSubscription(),
+                                    per_tenant, config_.serverSpec);
+    }
+    // Always fork, even when the trace set is a cache hit: the fork
+    // advances rng_, and the engine's own stream must not depend on
+    // whether another simulation built the traces first.
+    Rng trace_rng = rng_.fork();
+    // External traces are not derivable from the config, so they have
+    // no store key; they are scaled the same way but never shared.
+    const bool external = !config_.externalBenignTraces.empty();
+    const auto set =
+        external ? makeScaledTraceSet(trace_rng)
+                 : config_.setupCache->scaledTraceSet(
+                       SetupCache::traceSetKey(config_),
+                       [&] { return makeScaledTraceSet(trace_rng); });
+    for (std::size_t k = 0; k < benignTenants_.size(); ++k)
+        benignTenants_[k].setTrace(tenantTrace(set, k));
+
+    workloadFingerprint_ = external ? 0 : SetupCache::traceSetKey(config_);
 }
 
 Kilowatts

@@ -23,6 +23,7 @@
 #include "faults/fault.hh"
 #include "core/operator.hh"
 #include "core/policies.hh"
+#include "core/setup_cache.hh"
 #include "perf/latency_model.hh"
 #include "power/layout.hh"
 #include "power/pdu.hh"
@@ -156,8 +157,8 @@ class Simulation
         Celsius maxInlet{0.0};
     };
 
-    /** Thermal environment for the config, via config.setupCache (shared
-     * matrix + factorization) when installed. */
+    /** Thermal environment for the config, with the matrix and the
+     * factorization from config.setupCache. */
     static thermal::ThermalEnvironment
     makeThermalEnvironment(const SimulationConfig &config,
                            const power::DataCenterLayout &layout);
@@ -193,7 +194,14 @@ class Simulation
      * caps clear). */
     void restoreBenignWorkload();
 
+    /** Attach the scaled trace set from config_.setupCache (external
+     * traces bypass the store) to freshly built benign tenants. */
     void buildTenants();
+    /** The setup cache's make function for the trace set: generate (or
+     * copy the external) traces, solve the common mean-power scale
+     * factor through benignTenants_, and scale the set once in place. */
+    std::shared_ptr<const SetupCache::TraceSet>
+    makeScaledTraceSet(Rng &trace_rng);
     void stepMinute();
     void applyFaultsForMinute();
     Kilowatts benignActualPower() const;

@@ -61,105 +61,10 @@ hashGoogle(Fnv &h, const trace::GoogleStyleTraceGenerator::Params &p)
         .real(p.burstDurationMinutes);
 }
 
-} // namespace
-
-std::shared_ptr<const SetupCache::TraceSet>
-SetupCache::traceSet(std::uint64_t key,
-                     const std::function<TraceSet()> &make)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = traceSets_.find(key);
-        if (it != traceSets_.end()) {
-            ++counters_.traceHits;
-            return it->second;
-        }
-        ++counters_.traceMisses;
-    }
-    // Compute outside the lock: concurrent misses on one key both pay
-    // the generation cost, but the results are identical and the loser
-    // is simply discarded -- better than serializing the whole campaign
-    // behind one ~1 s trace generation.
-    auto value = std::make_shared<const TraceSet>(make());
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = traceSets_.emplace(key, value);
-    if (!inserted)
-        return it->second;
-    traceOrder_.push_back(key);
-    while (traceOrder_.size() > kMaxTraceSets) {
-        traceSets_.erase(traceOrder_.front());
-        traceOrder_.pop_front();
-    }
-    return value;
-}
-
-double
-SetupCache::scaleFactor(std::uint64_t key,
-                        const std::function<double()> &make)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = scaleFactors_.find(key);
-        if (it != scaleFactors_.end()) {
-            ++counters_.scaleHits;
-            return it->second;
-        }
-        ++counters_.scaleMisses;
-    }
-    const double value = make();
-    std::lock_guard<std::mutex> lock(mutex_);
-    return scaleFactors_.emplace(key, value).first->second;
-}
-
-std::shared_ptr<const thermal::HeatDistributionMatrix>
-SetupCache::matrix(
-    std::uint64_t key,
-    const std::function<thermal::HeatDistributionMatrix()> &make)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = matrices_.find(key);
-        if (it != matrices_.end()) {
-            ++counters_.matrixHits;
-            return it->second;
-        }
-        ++counters_.matrixMisses;
-    }
-    auto value =
-        std::make_shared<const thermal::HeatDistributionMatrix>(make());
-    std::lock_guard<std::mutex> lock(mutex_);
-    return matrices_.emplace(key, value).first->second;
-}
-
-std::shared_ptr<const thermal::TemporalFactorization>
-SetupCache::factorization(
-    std::uint64_t key,
-    const std::function<thermal::TemporalFactorization()> &make)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = factorizations_.find(key);
-        if (it != factorizations_.end()) {
-            ++counters_.factorizationHits;
-            return it->second;
-        }
-        ++counters_.factorizationMisses;
-    }
-    auto value =
-        std::make_shared<const thermal::TemporalFactorization>(make());
-    std::lock_guard<std::mutex> lock(mutex_);
-    return factorizations_.emplace(key, value).first->second;
-}
-
-SetupCache::Counters
-SetupCache::counters() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
-}
-
+/** The unscaled traces' inputs: seed, trace kind, tenant count and the
+ * active generator's shape parameters. */
 std::uint64_t
-SetupCache::traceSetKey(const SimulationConfig &config)
+generatorKey(const SimulationConfig &config)
 {
     Fnv h;
     h.word(0x7261cE5eULL) // domain separator
@@ -181,12 +86,89 @@ SetupCache::traceSetKey(const SimulationConfig &config)
     return h.value();
 }
 
+} // namespace
+
+template <class T>
+std::shared_ptr<const T>
+SetupCache::lookup(Store<T> &store, std::uint64_t &hits,
+                   std::uint64_t &misses, std::uint64_t key,
+                   const std::function<std::shared_ptr<const T>()> &make)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = store.entries.find(key);
+        if (it != store.entries.end()) {
+            ++hits;
+            store.order.splice(store.order.end(), store.order,
+                               it->second.position);
+            return it->second.value;
+        }
+        ++misses;
+    }
+    // Compute outside the lock: concurrent misses on one key both pay
+    // the make cost, but the results are identical and the loser is
+    // simply discarded -- better than serializing the whole campaign
+    // behind one trace generation.
+    std::shared_ptr<const T> value = make();
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto [it, inserted] = store.entries.try_emplace(key);
+    if (!inserted)
+        return it->second.value;
+    it->second = {value, store.order.insert(store.order.end(), key)};
+    if (store.order.size() > store.capacity) {
+        store.entries.erase(store.order.front());
+        store.order.pop_front();
+    }
+    return value;
+}
+
+std::shared_ptr<const SetupCache::TraceSet>
+SetupCache::scaledTraceSet(
+    std::uint64_t key,
+    const std::function<std::shared_ptr<const TraceSet>()> &make)
+{
+    return lookup(traceSets_, counters_.traceHits, counters_.traceMisses,
+                  key, make);
+}
+
+std::shared_ptr<const thermal::HeatDistributionMatrix>
+SetupCache::matrix(
+    std::uint64_t key,
+    const std::function<thermal::HeatDistributionMatrix()> &make)
+{
+    return lookup<thermal::HeatDistributionMatrix>(
+        matrices_, counters_.matrixHits, counters_.matrixMisses, key, [&] {
+            return std::make_shared<const thermal::HeatDistributionMatrix>(
+                make());
+        });
+}
+
+std::shared_ptr<const thermal::TemporalFactorization>
+SetupCache::factorization(
+    std::uint64_t key,
+    const std::function<thermal::TemporalFactorization()> &make)
+{
+    return lookup<thermal::TemporalFactorization>(
+        factorizations_, counters_.factorizationHits,
+        counters_.factorizationMisses, key, [&] {
+            return std::make_shared<const thermal::TemporalFactorization>(
+                make());
+        });
+}
+
+SetupCache::Counters
+SetupCache::counters() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return counters_;
+}
+
 std::uint64_t
-SetupCache::scaleFactorKey(const SimulationConfig &config)
+SetupCache::traceSetKey(const SimulationConfig &config)
 {
     Fnv h;
     h.word(0x5ca1eFacULL)
-        .word(traceSetKey(config))
+        .word(generatorKey(config))
         .real(config.serverSpec.idlePower.value())
         .real(config.serverSpec.peakPower.value())
         .word(config.numBenignTenants)

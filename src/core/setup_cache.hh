@@ -1,34 +1,41 @@
 /**
  * @file
- * SetupCache: shared constructor-time artifacts for campaign members.
+ * SetupCache: the constructor-time artifacts a Simulation builds once
+ * and shares.
  *
- * Profiling shows a Simulation costs ~1 s to construct -- year-long
- * trace generation, the 60-iteration mean-power bisection over three
- * 525600-sample traces, the analytic heat matrix, and its temporal
- * (Prony) factorization -- while the steady slot loop costs ~2 us/slot.
- * Sweep campaigns construct dozens of members that differ only in
- * policy or one parameter, so almost all of that setup is identical
- * across members. This cache shares the four expensive artifacts,
- * keyed by an FNV-1a hash of exactly the config fields each depends
- * on; every cached value is a deterministic function of its key
- * fields, so cache hits are bit-identical to recomputation.
+ * A cold construct of the paper's default config costs ~120 ms in a
+ * Release build: year-long trace generation, the mean-power scale
+ * solve over three 525600-sample traces, the analytic heat matrix and
+ * its temporal (Prony) factorization. The steady slot loop costs ~1
+ * us/slot. Sweep campaigns construct dozens of members that differ
+ * only in policy or one parameter, so almost all of that setup is
+ * identical across members. Every Simulation builds its setup through
+ * a SetupCache (a private one when its config carries none), so there
+ * is one setup path. The cache holds three artifacts, each keyed by an
+ * FNV-1a hash of exactly the config fields it depends on; every cached
+ * value is a deterministic function of its key fields, so a hit is
+ * bit-identical to recomputation.
+ *
+ * The trace set is stored *scaled*: tenants alias its traces, so a hit
+ * copies and scales nothing.
  *
  * Thread safety: lookups take a mutex; values are immutable once
- * published (shared_ptr<const>). On a miss the compute callback runs
+ * published (shared_ptr<const>). On a miss the make callback runs
  * *outside* the lock -- concurrent misses on one key may compute
  * twice, but both results are identical and the loser is discarded,
  * so constructor parallelism (util::parallelFor over campaign
- * members) is never serialized behind a 1-second trace generation.
- * The trace-set store is LRU-bounded (entries are ~13 MB); the
- * matrix/factorization/scale stores are tiny and unbounded.
+ * members) is never serialized behind a trace generation.
+ *
+ * Every store is LRU-bounded: a hit refreshes its key, and publishing
+ * a new key past the bound evicts the least recently used one.
  */
 
 #ifndef ECOLO_CORE_SETUP_CACHE_HH
 #define ECOLO_CORE_SETUP_CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -44,14 +51,17 @@ namespace ecolo::core {
 class SetupCache
 {
   public:
-    /** The generated (unscaled) benign traces, one per tenant. */
+    /**
+     * The benign traces, already scaled to the configured mean power.
+     * One per tenant, or a single trace every tenant aliases (the
+     * Google-style site trace).
+     */
     using TraceSet = std::vector<trace::UtilizationTrace>;
 
-    /** Per-artifact hit/miss counters (testing / telemetry). */
+    /** Per-store hit/miss counters (testing / telemetry). */
     struct Counters
     {
         std::uint64_t traceHits = 0, traceMisses = 0;
-        std::uint64_t scaleHits = 0, scaleMisses = 0;
         std::uint64_t matrixHits = 0, matrixMisses = 0;
         std::uint64_t factorizationHits = 0, factorizationMisses = 0;
     };
@@ -60,11 +70,14 @@ class SetupCache
      * sharing one workload only ever touch one key). */
     static constexpr std::size_t kMaxTraceSets = 4;
 
-    std::shared_ptr<const TraceSet>
-    traceSet(std::uint64_t key, const std::function<TraceSet()> &make);
+    /** Most heat matrices, and separately factorizations, kept alive
+     * (each ~0.1-0.2 MB at the default layout; in-tree campaigns use
+     * one key each). */
+    static constexpr std::size_t kMaxThermalArtifacts = 64;
 
-    double scaleFactor(std::uint64_t key,
-                       const std::function<double()> &make);
+    std::shared_ptr<const TraceSet> scaledTraceSet(
+        std::uint64_t key,
+        const std::function<std::shared_ptr<const TraceSet>()> &make);
 
     std::shared_ptr<const thermal::HeatDistributionMatrix>
     matrix(std::uint64_t key,
@@ -80,18 +93,15 @@ class SetupCache
     // ---- Key derivation -------------------------------------------------
     // Each key hashes exactly the config fields the artifact is a
     // function of (doubles by bit pattern), so two configs collide on a
-    // key only when the artifact is provably identical. Callers must
-    // not use traceSetKey/scaleFactorKey when externalBenignTraces is
-    // set (the traces are not derivable from the config).
+    // key only when the artifact is provably identical.
 
-    /** Generated benign traces: seed, trace kind, tenant count, and the
-     * active generator's shape parameters. */
+    /** Scaled benign traces: the generator's inputs (seed, trace kind,
+     * tenant count, shape parameters) plus every input of the power
+     * model and the target (server spec, tenant/server counts,
+     * capacity, average utilization, attacker standby draw). Not
+     * derivable when externalBenignTraces is set; such configs bypass
+     * the store. */
     static std::uint64_t traceSetKey(const SimulationConfig &config);
-
-    /** Mean-power bisection: the trace key plus every input of the
-     * power model and the target (server spec, tenant/server counts,
-     * capacity, average utilization, attacker standby draw). */
-    static std::uint64_t scaleFactorKey(const SimulationConfig &config);
 
     /** Analytic heat matrix: layout, analytic params, horizon. */
     static std::uint64_t matrixKey(const SimulationConfig &config);
@@ -101,20 +111,37 @@ class SetupCache
     static std::uint64_t factorizationKey(const SimulationConfig &config);
 
   private:
+    /** One LRU-bounded map from key to published artifact. */
+    template <class T>
+    struct Store
+    {
+        using Order = std::list<std::uint64_t>; //!< front = least recent
+        struct Entry
+        {
+            std::shared_ptr<const T> value;
+            typename Order::iterator position;
+        };
+
+        explicit Store(std::size_t bound) : capacity(bound) {}
+
+        std::size_t capacity;
+        Order order;
+        std::unordered_map<std::uint64_t, Entry> entries;
+    };
+
+    template <class T>
+    std::shared_ptr<const T>
+    lookup(Store<T> &store, std::uint64_t &hits, std::uint64_t &misses,
+           std::uint64_t key,
+           const std::function<std::shared_ptr<const T>()> &make);
+
     mutable std::mutex mutex_;
     Counters counters_;
 
-    std::unordered_map<std::uint64_t, std::shared_ptr<const TraceSet>>
-        traceSets_;
-    std::deque<std::uint64_t> traceOrder_; //!< LRU, front = oldest
-    std::unordered_map<std::uint64_t, double> scaleFactors_;
-    std::unordered_map<std::uint64_t,
-                       std::shared_ptr<const thermal::HeatDistributionMatrix>>
-        matrices_;
-    std::unordered_map<
-        std::uint64_t,
-        std::shared_ptr<const thermal::TemporalFactorization>>
-        factorizations_;
+    Store<TraceSet> traceSets_{kMaxTraceSets};
+    Store<thermal::HeatDistributionMatrix> matrices_{kMaxThermalArtifacts};
+    Store<thermal::TemporalFactorization> factorizations_{
+        kMaxThermalArtifacts};
 };
 
 } // namespace ecolo::core

@@ -18,23 +18,25 @@ Tenant::Tenant(std::string name, Kilowatts subscribed_capacity,
 }
 
 void
-Tenant::setTrace(trace::UtilizationTrace trace)
+Tenant::setTrace(std::shared_ptr<const trace::UtilizationTrace> trace)
 {
-    ECOLO_ASSERT(!trace.empty(), "empty trace for tenant '", name_, "'");
+    ECOLO_ASSERT(trace != nullptr && !trace->empty(),
+                 "empty trace for tenant '", name_, "'");
     trace_ = std::move(trace);
 }
 
 void
-Tenant::scaleTrace(double factor)
+Tenant::setTrace(trace::UtilizationTrace trace)
 {
-    trace_.scale(factor);
+    setTrace(std::make_shared<const trace::UtilizationTrace>(
+        std::move(trace)));
 }
 
 void
 Tenant::applyTraceAt(MinuteIndex t)
 {
     ECOLO_ASSERT(hasTrace(), "tenant '", name_, "' has no trace attached");
-    setUtilization(trace_.at(t));
+    setUtilization(trace_->at(t));
 }
 
 void
@@ -115,7 +117,7 @@ computeMeanPowerScaleFactorWith(const MeanPowerKernel &kernel,
     ECOLO_ASSERT(!tenants.empty(), "no tenants to scale");
     for (Tenant *t : tenants)
         ECOLO_ASSERT(t != nullptr && t->hasTrace(),
-                     "scaleTenantsToMeanPower needs tenants with traces");
+                     "computeMeanPowerScaleFactor needs tenants with traces");
 
     // All tenants share one trace length (they are generated together).
     const std::size_t horizon = tenants.front()->traceRef().size();
@@ -208,21 +210,6 @@ computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
 {
     return detail::computeMeanPowerScaleFactorWith(
         detail::selectedMeanPowerKernel(), tenants, target_mean_power);
-}
-
-void
-applyTraceScale(const std::vector<Tenant *> &tenants, double factor)
-{
-    for (Tenant *t : tenants)
-        t->scaleTrace(factor);
-}
-
-void
-scaleTenantsToMeanPower(std::vector<Tenant *> tenants,
-                        Kilowatts target_mean_power)
-{
-    applyTraceScale(tenants,
-                    computeMeanPowerScaleFactor(tenants, target_mean_power));
 }
 
 } // namespace ecolo::power

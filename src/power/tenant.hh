@@ -7,6 +7,7 @@
 #ifndef ECOLO_POWER_TENANT_HH
 #define ECOLO_POWER_TENANT_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,13 +34,17 @@ class Tenant
     std::vector<Server> &servers() { return servers_; }
     const std::vector<Server> &servers() const { return servers_; }
 
-    /** Attach the workload trace that drives this tenant's utilization. */
+    /**
+     * Attach the workload trace that drives this tenant's utilization.
+     * Tenants of one simulation (and of every simulation sharing a
+     * SetupCache) alias one immutable scaled trace set; the by-value
+     * overload wraps its argument for tenants that own their trace.
+     */
+    void setTrace(std::shared_ptr<const trace::UtilizationTrace> trace);
     void setTrace(trace::UtilizationTrace trace);
-    const trace::UtilizationTrace &traceRef() const { return trace_; }
-    bool hasTrace() const { return !trace_.empty(); }
-
-    /** Scale the attached trace in place (UtilizationTrace::scale). */
-    void scaleTrace(double factor);
+    /** The attached trace; requires hasTrace(). */
+    const trace::UtilizationTrace &traceRef() const { return *trace_; }
+    bool hasTrace() const { return trace_ != nullptr; }
 
     /** Set every server's utilization from the trace at minute t. */
     void applyTraceAt(MinuteIndex t);
@@ -70,30 +75,18 @@ class Tenant
     std::string name_;
     Kilowatts subscribed_;
     std::vector<Server> servers_;
-    trace::UtilizationTrace trace_;
+    std::shared_ptr<const trace::UtilizationTrace> trace_;
 };
 
 /**
- * Scale each tenant's trace with a single common factor such that the
- * tenants' combined *mean power* hits target_mean_power. This is how the
- * paper sets "75% average utilization" of the 8 kW capacity.
- */
-void scaleTenantsToMeanPower(std::vector<Tenant *> tenants,
-                             Kilowatts target_mean_power);
-
-/**
- * The solve half of scaleTenantsToMeanPower: the common factor whose
- * clamped application (UtilizationTrace::scale clamps to [0, 1], the
- * same clamp the solver models) yields the target mean power. Split
- * out so campaign drivers can solve once per distinct trace set and
- * reuse the factor -- the bisection over year-long traces dominates
- * per-simulation setup cost.
+ * The common factor whose clamped application to every tenant's trace
+ * (UtilizationTrace::scale clamps to [0, 1], the same clamp the solver
+ * models) makes the tenants' combined *mean power* hit
+ * target_mean_power. This is how the paper sets "75% average
+ * utilization" of the 8 kW capacity.
  */
 double computeMeanPowerScaleFactor(const std::vector<Tenant *> &tenants,
                                    Kilowatts target_mean_power);
-
-/** The apply half: scale every tenant's trace by `factor` in place. */
-void applyTraceScale(const std::vector<Tenant *> &tenants, double factor);
 
 } // namespace ecolo::power
 

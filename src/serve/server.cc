@@ -648,12 +648,10 @@ Server::metricsJson() const
     set("serve.dispatch.batch", static_cast<double>(sched.dispatchedBatch));
     const core::SetupCache::Counters setup = setupCacheCounters();
     set("serve.setup_cache.hits",
-        static_cast<double>(setup.traceHits + setup.scaleHits +
-                            setup.matrixHits +
+        static_cast<double>(setup.traceHits + setup.matrixHits +
                             setup.factorizationHits));
     set("serve.setup_cache.misses",
-        static_cast<double>(setup.traceMisses + setup.scaleMisses +
-                            setup.matrixMisses +
+        static_cast<double>(setup.traceMisses + setup.matrixMisses +
                             setup.factorizationMisses));
     set("serve.setup_cache.trace_hits",
         static_cast<double>(setup.traceHits));

@@ -202,7 +202,7 @@ class Server
     ResultCache cache_;
     /**
      * Process-wide setup artifact cache: every admitted run shares its
-     * trace sets, scale factors, heat matrices and factorizations.
+     * scaled trace sets, heat matrices and factorizations.
      */
     std::shared_ptr<core::SetupCache> setupCache_;
     std::unique_ptr<RequestJournal> journal_;

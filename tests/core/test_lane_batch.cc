@@ -231,9 +231,9 @@ TEST(LaneBatchParallel, MultiGroupCampaignMatchesScalar)
 
 TEST(LaneBatchParallel, SetupCacheIsBitIdenticalAccelerator)
 {
-    // A cached construction must behave exactly like an uncached one:
-    // same traces (the rng fork is consumed either way), same scale
-    // factor, same thermal artifacts.
+    // A construction on a shared cache must behave exactly like one on
+    // a private cache: same scaled traces (the rng fork is consumed
+    // either way), same thermal artifacts.
     auto config = SimulationConfig::paperDefault();
     config.seed = 4242;
     Simulation plain(config, makeMyopicPolicy(config, Kilowatts(7.4)));

@@ -2,10 +2,10 @@
  * @file
  * Shared-setup equivalence properties for the serving stack. Every
  * admitted run is built through the server's process-wide
- * core::SetupCache, so a request usually reuses trace sets, scale
- * factors and thermal factorizations that an earlier request computed.
- * Each completed request must still render byte-identically to a
- * direct engine run that computes its own setup (no cache), and
+ * core::SetupCache, so a request usually reuses scaled trace sets and
+ * thermal factorizations that an earlier request computed. Each
+ * completed request must still render byte-identically to a direct
+ * engine run that computes its own setup (a private cache), and
  * per-request semantics -- cancellation, deadlines, chaos-injected
  * transport faults -- must hold for requests sharing that setup.
  */
@@ -122,14 +122,13 @@ directReport(const RequestSpec &spec)
 std::uint64_t
 setupHits(const core::SetupCache::Counters &c)
 {
-    return c.traceHits + c.scaleHits + c.matrixHits + c.factorizationHits;
+    return c.traceHits + c.matrixHits + c.factorizationHits;
 }
 
 std::uint64_t
 setupMisses(const core::SetupCache::Counters &c)
 {
-    return c.traceMisses + c.scaleMisses + c.matrixMisses +
-           c.factorizationMisses;
+    return c.traceMisses + c.matrixMisses + c.factorizationMisses;
 }
 
 TEST(ServeSharedSetupIdentity, WarmCacheCampaignMatchesUncachedRender)

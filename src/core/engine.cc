@@ -52,6 +52,94 @@ tenantTrace(const std::shared_ptr<const SetupCache::TraceSet> &set,
 
 } // namespace
 
+Kilowatts
+BenignSlot::Tenant::demand() const
+{
+    // Off servers add +0.0, which leaves a chain that started at +0.0
+    // unchanged bit for bit.
+    Kilowatts total(0.0);
+    for (std::size_t i = 0; i < poweredOn; ++i)
+        total += serverDemand;
+    return total;
+}
+
+double
+BenignSlot::Tenant::meanUtilization() const
+{
+    double sum = 0.0;
+    for (std::size_t i = 0; i < servers; ++i)
+        sum += utilization;
+    return sum / static_cast<double>(servers);
+}
+
+void
+fillBenignSlot(BenignSlot &slot, const std::vector<power::Tenant> &tenants,
+               const BenignSlotInputs &inputs)
+{
+    std::size_t num_benign = 0;
+    for (const power::Tenant &tenant : tenants)
+        num_benign += tenant.numServers();
+    if (slot.serverKw.size() != num_benign ||
+        slot.tenants.size() != tenants.size()) {
+        slot.serverKw.assign(num_benign, 0.0);
+        slot.tenants.assign(tenants.size(), BenignSlot::Tenant());
+    }
+
+    // A trace-gap fault freezes the telemetry feed: tenants keep
+    // replaying the last pre-gap minute instead of dying on missing data.
+    const MinuteIndex trace_minute =
+        inputs.traceGap ? std::max<MinuteIndex>(0, inputs.traceGapStart - 1)
+                        : inputs.minute;
+
+    // An outage powers every benign server off. Otherwise hard server
+    // failures and commanded partial shutdown (degraded-mode response)
+    // power servers off from the back of the bank; both are zero on
+    // healthy runs.
+    std::size_t off = num_benign;
+    if (!inputs.outage) {
+        const std::size_t shed = static_cast<std::size_t>(
+            inputs.shedFraction * static_cast<double>(num_benign));
+        off = std::min(num_benign, shed + inputs.failedServers);
+    }
+    const std::size_t first_off = num_benign - off;
+
+    // A powered-on server draws min(demand, cap) and an off one 0.
+    // Adding +0.0 leaves a chain that started at +0.0 unchanged bit for
+    // bit, so the chains skip the off servers.
+    Kilowatts tenant_total(0.0);
+    Kilowatts flat_total(0.0);
+    std::size_t server = 0;
+    for (std::size_t k = 0; k < tenants.size(); ++k) {
+        const power::Tenant &tenant = tenants[k];
+        BenignSlot::Tenant &out = slot.tenants[k];
+        const double sample = tenant.traceRef().at(trace_minute);
+        ECOLO_ASSERT(sample >= 0.0 && sample <= 1.0 + 1e-9,
+                     "utilization out of [0,1]: ", sample);
+        out.utilization = std::clamp(sample, 0.0, 1.0);
+        out.serverDemand = tenant.server(0).spec().powerAt(out.utilization);
+        const Kilowatts kw = inputs.capped
+                                 ? std::min(out.serverDemand, inputs.capLevel)
+                                 : out.serverDemand;
+
+        out.servers = tenant.numServers();
+        out.poweredOn = std::min(
+            out.servers, first_off > server ? first_off - server : 0);
+        Kilowatts tenant_kw(0.0);
+        for (std::size_t i = 0; i < out.poweredOn; ++i) {
+            slot.serverKw[server + i] = kw.value();
+            tenant_kw += kw;
+            flat_total += kw;
+        }
+        for (std::size_t i = out.poweredOn; i < out.servers; ++i)
+            slot.serverKw[server + i] = 0.0;
+        server += out.servers;
+        out.kw = tenant_kw;
+        tenant_total += tenant_kw;
+    }
+    slot.tenantTotal = tenant_total;
+    slot.flatTotal = flat_total;
+}
+
 Simulation::Simulation(SimulationConfig config,
                        std::unique_ptr<AttackPolicy> policy)
     : config_([&] {
@@ -89,6 +177,8 @@ Simulation::Simulation(SimulationConfig config,
     ECOLO_ASSERT(layout_.numServers() == config_.numServers(),
                  "layout/server-count mismatch");
     buildTenants();
+    // Sizes the slot here, so the slot loop never allocates for it.
+    fillBenignSlot(benignSlot_, benignTenants_, BenignSlotInputs());
 
     pdu_.addCircuit("attacker", config_.attackerSubscription);
     for (const auto &tenant : benignTenants_)
@@ -115,7 +205,7 @@ Simulation::makeThermalEnvironment(const SimulationConfig &config,
                     *matrix, config.factorization);
             });
     }
-    return thermal::ThermalEnvironment(*matrix, config.cooling, 15.0,
+    return thermal::ThermalEnvironment(std::move(matrix), config.cooling, 15.0,
                                        config.thermalMode,
                                        config.factorization,
                                        std::move(factors));
@@ -189,18 +279,9 @@ Simulation::buildTenants()
     workloadFingerprint_ = external ? 0 : SetupCache::traceSetKey(config_);
 }
 
-Kilowatts
-Simulation::benignActualPower() const
-{
-    Kilowatts total(0.0);
-    for (const auto &tenant : benignTenants_)
-        total += tenant.actualPower();
-    return total;
-}
-
 AttackObservation
 Simulation::makeObservation(bool capping, bool outage,
-                            const Kilowatts *benign_actual_override)
+                            Kilowatts benign_actual)
 {
     AttackObservation obs;
     obs.time = now_;
@@ -216,12 +297,7 @@ Simulation::makeObservation(bool capping, bool outage,
         // terms of "benign load + my subscription" as in the paper. The
         // channel averages the per-minute ripple samples into the
         // engine-owned scratch (sized once; the slot loop allocates
-        // nothing afterwards). A lane group's leader may pass in the
-        // shared benign aggregate (bitwise equal to what this lane would
-        // compute; see SharedBenignSlot).
-        const Kilowatts benign_actual = benign_actual_override != nullptr
-                                            ? *benign_actual_override
-                                            : benignActualPower();
+        // nothing afterwards).
         Kilowatts estimate(0.0);
         {
             telemetry::TraceSpan span("engine.sidechannel");
@@ -317,8 +393,8 @@ Simulation::slotBenignUniform(const SlotContext &ctx) const
     if (faultsEnabled_ &&
         (faultsNow_.traceGap || faultsNow_.failedServers > 0))
         return false;
-    // Mirror the workload phase's shed computation exactly: a fraction
-    // small enough to shed zero servers leaves the slot uniform.
+    // Mirror fillBenignSlot's shed computation exactly: a fraction small
+    // enough to shed zero servers leaves the slot uniform.
     const std::size_t num_benign = config_.numBenignServers();
     const std::size_t shed = static_cast<std::size_t>(
         ctx.shedFraction * static_cast<double>(num_benign));
@@ -329,41 +405,18 @@ void
 Simulation::slotWorkloadBenign(const SlotContext &ctx)
 {
     // ---- 1. Benign tenants follow their traces; operator commands. ----
-    // A trace-gap fault freezes the telemetry feed: tenants keep replaying
-    // the last pre-gap minute instead of dying on missing data.
-    const MinuteIndex trace_minute =
-        (faultsEnabled_ && faultsNow_.traceGap)
-            ? std::max<MinuteIndex>(0, faultsNow_.traceGapStart - 1)
-            : now_;
-    for (auto &tenant : benignTenants_) {
-        tenant.applyTraceAt(trace_minute);
-        tenant.setPoweredOn(!ctx.outage);
-        if (ctx.anyCap)
-            tenant.setPerServerCap(ctx.capLevel);
-        else
-            tenant.clearCaps();
+    BenignSlotInputs inputs;
+    inputs.minute = now_;
+    inputs.outage = ctx.outage;
+    inputs.capped = ctx.anyCap;
+    inputs.capLevel = ctx.capLevel;
+    inputs.shedFraction = ctx.shedFraction;
+    if (faultsEnabled_) {
+        inputs.failedServers = faultsNow_.failedServers;
+        inputs.traceGap = faultsNow_.traceGap;
+        inputs.traceGapStart = faultsNow_.traceGapStart;
     }
-
-    // Hard server failures (fault) and commanded partial shutdown
-    // (degraded-mode response) power off benign servers from the back of
-    // the bank; both are zero on healthy runs.
-    if (!ctx.outage) {
-        const std::size_t num_benign = config_.numBenignServers();
-        const std::size_t shed = static_cast<std::size_t>(
-            ctx.shedFraction * static_cast<double>(num_benign));
-        const std::size_t failed =
-            faultsEnabled_ ? faultsNow_.failedServers : 0;
-        std::size_t remaining = std::min(num_benign, shed + failed);
-        for (auto tenant = benignTenants_.rbegin();
-             tenant != benignTenants_.rend() && remaining > 0; ++tenant) {
-            auto &servers = tenant->servers();
-            for (auto srv = servers.rbegin();
-                 srv != servers.rend() && remaining > 0; ++srv) {
-                srv->setPoweredOn(false);
-                --remaining;
-            }
-        }
-    }
+    fillBenignSlot(benignSlot_, benignTenants_, inputs);
 }
 
 void
@@ -377,12 +430,10 @@ Simulation::slotWorkloadAttacker(const SlotContext &ctx)
 }
 
 void
-Simulation::slotObserveDecide(SlotContext &ctx,
-                              const Kilowatts *shared_benign_actual)
+Simulation::slotObserveDecide(SlotContext &ctx, const BenignSlot &benign)
 {
     // ---- 2. Observation, learning feedback, day boundary. ----
-    ctx.obs = makeObservation(ctx.anyCap, ctx.outage,
-                              shared_benign_actual);
+    ctx.obs = makeObservation(ctx.anyCap, ctx.outage, benign.tenantTotal);
     if (havePending_)
         policy_->feedback(lastObs_, lastAction_, ctx.obs);
     if (now_ > 0 && now_ % kMinutesPerDay == 0)
@@ -451,8 +502,7 @@ Simulation::slotAttackerSupply(SlotContext &ctx)
 }
 
 void
-Simulation::slotHeatAndMeter(SlotContext &ctx,
-                             const SharedBenignSlot *shared)
+Simulation::slotHeatAndMeter(SlotContext &ctx, const BenignSlot &benign)
 {
     // ---- 5. Per-server heat and metering. ----
     const std::size_t n_attacker = config_.attackerNumServers;
@@ -465,39 +515,19 @@ Simulation::slotHeatAndMeter(SlotContext &ctx,
         lastHeat_[server] = attacker_heat_per_server;
         lastMetered_[server] = attacker_grid_per_server;
     }
-    Kilowatts benign_total(0.0);
-    if (shared != nullptr) {
-        // Follower lane of a uniform slot: the leader's harvested values
-        // are bitwise what the loop below would recompute.
-        const std::size_t num_benign = config_.numBenignServers();
-        for (std::size_t i = 0; i < num_benign; ++i, ++server) {
-            const Kilowatts p(shared->serverKw[i]);
-            lastHeat_[server] = p;
-            lastMetered_[server] = p;
-        }
-        benign_total = shared->flatTotal;
-    } else {
-        for (const auto &tenant : benignTenants_) {
-            for (const auto &srv : tenant.servers()) {
-                const Kilowatts p = srv.actualPower();
-                lastHeat_[server] = p;
-                lastMetered_[server] = p;
-                benign_total += p;
-                ++server;
-            }
-        }
+    for (const double kw : benign.serverKw) {
+        lastHeat_[server] = Kilowatts(kw);
+        lastMetered_[server] = Kilowatts(kw);
+        ++server;
     }
     ECOLO_ASSERT(server == config_.numServers(),
                  "server heat vector not fully populated");
 
     pdu_.setEnergized(!ctx.outage);
     pdu_.setCircuitDraw(0, ctx.supply.gridPower);
-    for (std::size_t k = 0; k < benignTenants_.size(); ++k)
-        pdu_.setCircuitDraw(k + 1,
-                            shared != nullptr
-                                ? shared->tenantKw[k]
-                                : benignTenants_[k].actualPower());
-    ctx.benignTotal = benign_total;
+    for (std::size_t k = 0; k < benign.tenants.size(); ++k)
+        pdu_.setCircuitDraw(k + 1, benign.tenants[k].kw);
+    ctx.benignTotal = benign.flatTotal;
     ctx.meteredTotal = pdu_.totalMeteredPower();
 }
 
@@ -616,25 +646,25 @@ Simulation::slotOperatorReact(SlotContext &ctx)
 }
 
 void
-Simulation::slotFinish(const SlotContext &ctx)
+Simulation::slotFinish(const SlotContext &ctx, const BenignSlot &benign)
 {
     // ---- 7. Performance accounting during capped minutes. ----
     if (ctx.anyCap && !ctx.outage) {
         double sum = 0.0;
-        for (std::size_t k = 0; k < benignTenants_.size(); ++k) {
-            const auto &tenant = benignTenants_[k];
-            const Kilowatts demand = tenant.demandPower();
+        for (std::size_t k = 0; k < benign.tenants.size(); ++k) {
+            const BenignSlot::Tenant &tenant = benign.tenants[k];
+            const Kilowatts demand = tenant.demand();
             const double fraction =
                 demand.value() > 1e-9
-                    ? std::clamp(tenant.actualPower() / demand, 1e-6, 1.0)
+                    ? std::clamp(tenant.kw / demand, 1e-6, 1.0)
                     : 1.0;
-            const double norm =
-                latency_.normalizedP95(tenant.utilization(), fraction);
+            const double norm = latency_.normalizedP95(
+                tenant.meanUtilization(), fraction);
             metrics_.recordTenantEmergencyPerf(k, norm);
             sum += norm;
         }
         metrics_.recordEmergencyPerf(
-            sum / static_cast<double>(benignTenants_.size()));
+            sum / static_cast<double>(benign.tenants.size()));
     }
 
     // ---- 8. Record the minute. ----
@@ -671,44 +701,6 @@ Simulation::slotFinish(const SlotContext &ctx)
 }
 
 void
-Simulation::harvestSharedBenign(SharedBenignSlot &out) const
-{
-    std::size_t idx = 0;
-    Kilowatts tenant_total(0.0);
-    Kilowatts flat_total(0.0);
-    for (std::size_t k = 0; k < benignTenants_.size(); ++k) {
-        const auto &tenant = benignTenants_[k];
-        Kilowatts tenant_kw(0.0);
-        for (const auto &srv : tenant.servers()) {
-            const Kilowatts p = srv.actualPower();
-            out.serverKw[idx++] = p.value();
-            tenant_kw += p;    // Tenant::actualPower's chain
-            flat_total += p;   // the heat phase's flat chain
-        }
-        out.tenantKw[k] = tenant_kw;
-        tenant_total += tenant_kw; // benignActualPower's chain
-    }
-    out.tenantTotal = tenant_total;
-    out.flatTotal = flat_total;
-}
-
-void
-Simulation::restoreBenignWorkload()
-{
-    if (now_ <= 0)
-        return;
-    // The workload phase of a uniform slot is exactly this (trace at the
-    // slot's minute, powered on, caps clear), so re-deriving it for the
-    // last simulated minute reproduces the skipped phases' net effect.
-    const MinuteIndex trace_minute = now_ - 1;
-    for (auto &tenant : benignTenants_) {
-        tenant.applyTraceAt(trace_minute);
-        tenant.setPoweredOn(true);
-        tenant.clearCaps();
-    }
-}
-
-void
 Simulation::stepMinute()
 {
     // The scalar step: the phases in their original order. The lane
@@ -718,12 +710,12 @@ Simulation::stepMinute()
     slotBegin(ctx);
     slotWorkloadBenign(ctx);
     slotWorkloadAttacker(ctx);
-    slotObserveDecide(ctx, nullptr);
+    slotObserveDecide(ctx, benignSlot_);
     slotAttackerSupply(ctx);
-    slotHeatAndMeter(ctx, nullptr);
+    slotHeatAndMeter(ctx, benignSlot_);
     slotThermal();
     slotOperatorReact(ctx);
-    slotFinish(ctx);
+    slotFinish(ctx, benignSlot_);
 }
 
 void

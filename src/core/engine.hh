@@ -38,22 +38,61 @@ namespace ecolo::core {
 class LaneBatchRunner;
 
 /**
- * One slot's shared benign-workload products, harvested once by a lane
- * group's leader and consumed by every follower lane (see
- * core/lane_batch.hh). Each field preserves the exact accumulation
- * association of the scalar consumer it substitutes for: tenantKw[k]
- * matches Tenant::actualPower's per-server chain, tenantTotal matches
- * benignActualPower's per-tenant chain, and flatTotal matches the heat
- * phase's single flat chain over all benign servers -- so shared values
- * are bitwise what each follower would have computed itself.
+ * One slot's benign power, filled once per slot by fillBenignSlot
+ * straight from the scaled trace samples (no power::Server object is
+ * touched). Every consumer -- the observation, heat and metering, the
+ * PDU's per-tenant draw, the capped-minute performance accounting --
+ * reads it, and a lane group's followers read their leader's (see
+ * core/lane_batch.hh). Each sum keeps the accumulation association of
+ * the per-server object walk it replaced, so reports are bitwise what
+ * that walk produced.
  */
-struct SharedBenignSlot
+struct BenignSlot
 {
-    std::vector<double> serverKw;    //!< per benign server, global order
-    std::vector<Kilowatts> tenantKw; //!< per-tenant actualPower sums
-    Kilowatts tenantTotal{0.0};      //!< chain over tenantKw (observation)
-    Kilowatts flatTotal{0.0};        //!< flat chain over benign servers
+    /** One tenant's share of the slot. Its servers all run the tenant's
+     * sample; the first poweredOn of them are on. */
+    struct Tenant
+    {
+        double utilization = 0.0;     //!< clamped trace sample
+        Kilowatts serverDemand{0.0};  //!< uncapped draw of one server
+        std::size_t servers = 0;
+        std::size_t poweredOn = 0;
+        Kilowatts kw{0.0};            //!< Tenant::actualPower's chain
+
+        /** Tenant::demandPower's chain over the tenant's servers. */
+        Kilowatts demand() const;
+        /** Tenant::utilization's mean over the tenant's servers. */
+        double meanUtilization() const;
+    };
+
+    std::vector<double> serverKw; //!< per benign server, global order
+    std::vector<Tenant> tenants;
+    Kilowatts tenantTotal{0.0};   //!< chain over tenants[k].kw
+    Kilowatts flatTotal{0.0};     //!< flat chain over serverKw
 };
+
+/** What one slot's benign power depends on besides the traces. */
+struct BenignSlotInputs
+{
+    MinuteIndex minute = 0;
+    bool outage = false;             //!< every benign server off
+    bool capped = false;             //!< a per-server cap is in force
+    Kilowatts capLevel{0.0};
+    double shedFraction = 0.0;       //!< commanded partial shutdown
+    std::size_t failedServers = 0;   //!< hard failures (fault)
+    bool traceGap = false;           //!< replay the last pre-gap minute
+    MinuteIndex traceGapStart = 0;
+};
+
+/**
+ * Fill `slot` for `tenants` (whose traces drive it; their servers are
+ * only read for their count and spec). Shed and failed servers power
+ * off from the back of the bank. Sizes `slot` when it was sized for
+ * other tenants, so refilling one slot never allocates.
+ */
+void fillBenignSlot(BenignSlot &slot,
+                    const std::vector<power::Tenant> &tenants,
+                    const BenignSlotInputs &inputs);
 
 /** One configured run of the edge colocation under a given attack policy. */
 class Simulation
@@ -98,6 +137,12 @@ class Simulation
     MinuteIndex now() const { return now_; }
 
     // ---- Introspection for tests and harnesses ----
+    /**
+     * Benign tenant i: its name, subscription and scaled trace. The slot
+     * loop computes benign power from the trace directly (BenignSlot), so
+     * the tenant's servers keep their constructed state;
+     * lastServerHeat() is the per-server view of a simulated minute.
+     */
     const power::Tenant &benignTenant(std::size_t i) const
     { return benignTenants_.at(i); }
     std::size_t numBenignTenants() const { return benignTenants_.size(); }
@@ -157,8 +202,9 @@ class Simulation
         Celsius maxInlet{0.0};
     };
 
-    /** Thermal environment for the config, with the matrix and the
-     * factorization from config.setupCache. */
+    /** Thermal environment for the config, holding the matrix and the
+     * factorization published in config.setupCache (shared, not
+     * copied). */
     static thermal::ThermalEnvironment
     makeThermalEnvironment(const SimulationConfig &config,
                            const power::DataCenterLayout &layout);
@@ -170,29 +216,21 @@ class Simulation
     void slotBegin(SlotContext &ctx);
     /** True when this slot's benign-workload phase is a pure function of
      * the shared traces (no capping/outage/shed/failures/trace gap), so
-     * a fingerprint-equal lane's results can be reused. */
+     * a fingerprint-equal lane can read another lane's BenignSlot. */
     bool slotBenignUniform(const SlotContext &ctx) const;
+    /** Fill benignSlot_ for this slot from the traces, the operator's
+     * command and the active faults (see fillBenignSlot). */
     void slotWorkloadBenign(const SlotContext &ctx);
     void slotWorkloadAttacker(const SlotContext &ctx);
-    void slotObserveDecide(SlotContext &ctx,
-                           const Kilowatts *shared_benign_actual);
+    void slotObserveDecide(SlotContext &ctx, const BenignSlot &benign);
     void slotAttackerSupply(SlotContext &ctx);
-    void slotHeatAndMeter(SlotContext &ctx, const SharedBenignSlot *shared);
+    void slotHeatAndMeter(SlotContext &ctx, const BenignSlot &benign);
     void slotThermal();
     /** Thermal phase when a LaneThermalBank advanced the matrix model:
      * apply the bank's (bit-identical) rises for this lane. */
     void slotThermalFromBank(const double *rises, std::size_t stride);
     void slotOperatorReact(SlotContext &ctx);
-    void slotFinish(const SlotContext &ctx);
-
-    /** Compute the shared products of a just-run benign workload phase
-     * (group leader only; out's vectors must be pre-sized). */
-    void harvestSharedBenign(SharedBenignSlot &out) const;
-    /** Re-derive the benign servers' state for the last simulated minute
-     * after follower slots skipped the workload phase (only ever called
-     * when every skipped slot was uniform: trace applied, powered on,
-     * caps clear). */
-    void restoreBenignWorkload();
+    void slotFinish(const SlotContext &ctx, const BenignSlot &benign);
 
     /** Attach the scaled trace set from config_.setupCache (external
      * traces bypass the store) to freshly built benign tenants. */
@@ -204,10 +242,8 @@ class Simulation
     makeScaledTraceSet(Rng &trace_rng);
     void stepMinute();
     void applyFaultsForMinute();
-    Kilowatts benignActualPower() const;
-    AttackObservation makeObservation(
-        bool capping, bool outage,
-        const Kilowatts *benign_actual_override = nullptr);
+    AttackObservation makeObservation(bool capping, bool outage,
+                                      Kilowatts benign_actual);
 
     SimulationConfig config_;
     power::DataCenterLayout layout_;
@@ -242,6 +278,8 @@ class Simulation
     /** Last non-NaN side-channel estimate (sensor-fault fallback). */
     Kilowatts lastValidEstimate_{0.0};
 
+    /** This slot's benign power (sized at construction). */
+    BenignSlot benignSlot_;
     std::vector<Kilowatts> lastHeat_;
     std::vector<Kilowatts> lastMetered_;
     /** Side-channel per-sample scratch arena: sized on the first minute,

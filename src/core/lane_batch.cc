@@ -101,13 +101,6 @@ LaneBatchRunner::formGroups()
                             lanes_[lid].sim->workloadFingerprint_ == fp;
             group.sharedFp = all_equal ? fp : 0;
         }
-        if (group.sharedFp != 0) {
-            const SimulationConfig &cfg =
-                lanes_[group.lanes.front()].sim->config();
-            group.shared.serverKw.assign(cfg.numBenignServers(), 0.0);
-            group.shared.tenantKw.assign(cfg.numBenignTenants,
-                                         Kilowatts(0.0));
-        }
         group.uniform.assign(group.lanes.size(), 0);
 
         // Bank adoption: at least two streaming-compatible lanes make
@@ -181,10 +174,6 @@ LaneBatchRunner::finishLane(Group &group, Lane &lane)
             static_cast<std::size_t>(lane.bankSlot),
             lane.sim->thermal_.matrixModelMutable());
     }
-    if (lane.benignStale) {
-        lane.sim->restoreBenignWorkload();
-        lane.benignStale = false;
-    }
 }
 
 void
@@ -219,14 +208,20 @@ LaneBatchRunner::stepGroup(Group &group, MinuteIndex offset)
         }
     }
 
-    // Phase B: the leader applies the shared benign workload once and
-    // harvests the products every uniform lane consumes.
+    // Phase B: the leader fills its benign slot once; every uniform
+    // lane reads it.
     if (leader != kNoLeader) {
         const std::size_t lid = group.lanes[leader];
         lanes_[lid].sim->slotWorkloadBenign(ctx_[lid]);
-        lanes_[lid].sim->harvestSharedBenign(group.shared);
-        lanes_[lid].benignStale = false;
     }
+    // The slot lane idx reads this minute: the leader's when uniform,
+    // its own otherwise.
+    const auto benignFor = [&](std::size_t idx) -> const BenignSlot & {
+        const std::size_t lid = group.lanes[group.uniform[idx] != 0
+                                                ? leader
+                                                : idx];
+        return lanes_[lid].sim->benignSlot_;
+    };
 
     // Phase C: the serial per-lane phases (workload divergence, policy,
     // attacker supply, heat/metering).
@@ -236,22 +231,18 @@ LaneBatchRunner::stepGroup(Group &group, MinuteIndex offset)
             continue;
         Simulation &sim = *lane.sim;
         Simulation::SlotContext &ctx = ctx_[group.lanes[idx]];
-        const bool uniform = group.uniform[idx] != 0;
-        if (!uniform) {
+        if (group.uniform[idx] == 0) {
             // Divergent slot (capping, outage, shed, faults, or no
-            // sharing): the lane runs its own workload phase, which
-            // fully rewrites benign server state -- automatic resync.
+            // sharing): the lane fills its own benign slot.
             sim.slotWorkloadBenign(ctx);
-            lane.benignStale = false;
         } else if (idx != leader) {
-            lane.benignStale = true;
             ++group.sharedCount;
         }
+        const BenignSlot &benign = benignFor(idx);
         sim.slotWorkloadAttacker(ctx);
-        sim.slotObserveDecide(ctx, uniform ? &group.shared.tenantTotal
-                                           : nullptr);
+        sim.slotObserveDecide(ctx, benign);
         sim.slotAttackerSupply(ctx);
-        sim.slotHeatAndMeter(ctx, uniform ? &group.shared : nullptr);
+        sim.slotHeatAndMeter(ctx, benign);
     }
 
     // Phase D: one SoA pass advances every banked lane's thermal model.
@@ -283,7 +274,7 @@ LaneBatchRunner::stepGroup(Group &group, MinuteIndex offset)
             sim.slotThermal();
         }
         sim.slotOperatorReact(ctx_[lid]);
-        sim.slotFinish(ctx_[lid]);
+        sim.slotFinish(ctx_[lid], benignFor(idx));
         ++group.slotCount;
         if (slotHook_)
             slotHook_(lid, offset);
@@ -338,19 +329,14 @@ LaneBatchRunner::runGroup(Group &group)
         stepGroup(group, m);
 
     // Run boundary: hand the thermal state back to still-active lanes
-    // (finished ones were scattered in finishLane) and resync any lane
-    // that consumed shared workloads, so every simulation is a normal,
-    // checkpointable scalar Simulation between runs.
+    // (finished ones were scattered in finishLane), so every simulation
+    // is a normal, checkpointable scalar Simulation between runs.
     for (std::size_t lid : group.lanes) {
         Lane &lane = lanes_[lid];
         if (lane.active && group.bankActive && lane.bankSlot >= 0) {
             group.bank.scatterLane(
                 static_cast<std::size_t>(lane.bankSlot),
                 lane.sim->thermal_.matrixModelMutable());
-        }
-        if (lane.benignStale) {
-            lane.sim->restoreBenignWorkload();
-            lane.benignStale = false;
         }
         lane.active = false;
     }

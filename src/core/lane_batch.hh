@@ -17,14 +17,14 @@
  *   model is not bank-compatible fall back to their own scalar step.
  * - Benign workload: when every lane in a group shares a workload
  *   fingerprint and a slot is "uniform" (no capping/outage/shed/fault
- *   divergence), one leader lane applies the traces and the others
- *   consume its harvested per-server/tenant power (bitwise what they
- *   would compute themselves; see SharedBenignSlot).
+ *   divergence), one leader lane fills its BenignSlot from the traces
+ *   and every uniform lane reads it through a const reference (bitwise
+ *   what they would fill themselves; see BenignSlot).
  * - Divergence is masked, not branched around: a lane under capping or
- *   faults simply runs its own workload phase that slot and resyncs
- *   automatically (the workload phase fully rewrites server state);
- *   early-finishing lanes stop calling setLanePowers and their bank
- *   column decays unread.
+ *   faults fills its own BenignSlot that slot. No benign state outlives
+ *   a slot, so there is nothing to resync afterwards; early-finishing
+ *   lanes stop calling setLanePowers and their bank column decays
+ *   unread.
  *
  * Per-lane results are bit-identical to Simulation::run because the
  * runner calls the exact same slot-phase methods in the same order --
@@ -123,7 +123,6 @@ class LaneBatchRunner
         MinuteIndex remaining = 0;
         bool active = false;      //!< participating in the current run()
         bool cancelled = false;   //!< retired by its cancel check
-        bool benignStale = false; //!< skipped uniform workload phases
         int bankSlot = -1;        //!< column in the group's bank, -1 = scalar
     };
 
@@ -134,7 +133,6 @@ class LaneBatchRunner
         bool bankActive = false;
         std::size_t bankReference = 0;  //!< lane id the bank was sized from
         thermal::LaneThermalBank bank;
-        SharedBenignSlot shared;
         std::vector<unsigned char> uniform; //!< per group-lane slot scratch
         // Per-group tallies, folded into stats_ after each run() (groups
         // execute concurrently and must not share mutable counters).

@@ -138,8 +138,15 @@ SetupCache::matrix(
 {
     return lookup<thermal::HeatDistributionMatrix>(
         matrices_, counters_.matrixHits, counters_.matrixMisses, key, [&] {
-            return std::make_shared<const thermal::HeatDistributionMatrix>(
-                make());
+            auto matrix =
+                std::make_shared<const thermal::HeatDistributionMatrix>(
+                    make());
+            // Simulations on other threads hold the published matrix, so
+            // build its lazy steady-gain table (a const member's only
+            // write) before anyone else can read it.
+            if (matrix->numServers() > 0)
+                (void)matrix->totalSteadyGain(0);
+            return matrix;
         });
 }
 

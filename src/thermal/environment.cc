@@ -7,8 +7,8 @@
 namespace ecolo::thermal {
 
 ThermalEnvironment::ThermalEnvironment(
-    HeatDistributionMatrix matrix, CoolingParams cooling,
-    double server_airflow_w_per_k, KernelMode mode,
+    std::shared_ptr<const HeatDistributionMatrix> matrix,
+    CoolingParams cooling, double server_airflow_w_per_k, KernelMode mode,
     FactorizationOptions factorization,
     std::shared_ptr<const TemporalFactorization> precomputed_factorization)
     : matrixModel_(std::move(matrix), mode, factorization,
@@ -18,6 +18,17 @@ ThermalEnvironment::ThermalEnvironment(
     ECOLO_ASSERT(serverAirflowWPerK_ > 0.0,
                  "server airflow must be positive");
 }
+
+ThermalEnvironment::ThermalEnvironment(
+    HeatDistributionMatrix matrix, CoolingParams cooling,
+    double server_airflow_w_per_k, KernelMode mode,
+    FactorizationOptions factorization,
+    std::shared_ptr<const TemporalFactorization> precomputed_factorization)
+    : ThermalEnvironment(
+          std::make_shared<const HeatDistributionMatrix>(std::move(matrix)),
+          cooling, server_airflow_w_per_k, mode, factorization,
+          std::move(precomputed_factorization))
+{}
 
 void
 ThermalEnvironment::stepMinute(const std::vector<Kilowatts> &server_heat)

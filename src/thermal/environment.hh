@@ -13,6 +13,7 @@
 #ifndef ECOLO_THERMAL_ENVIRONMENT_HH
 #define ECOLO_THERMAL_ENVIRONMENT_HH
 
+#include <memory>
 #include <vector>
 
 #include "thermal/cooling.hh"
@@ -32,7 +33,8 @@ class ThermalEnvironment
 {
   public:
     /**
-     * @param matrix spatial inlet-coupling model
+     * @param matrix spatial inlet-coupling model, held (not copied) so
+     *        environments built from one core::SetupCache share it
      * @param cooling lumped cooling/room parameters
      * @param server_airflow_w_per_k per-server fan airflow expressed as
      *        watts of heat per kelvin of inlet->outlet temperature rise
@@ -43,8 +45,19 @@ class ThermalEnvironment
      * @param factorization truncation + streaming-fit tolerances
      * @param precomputed_factorization optional shared fit of the same
      *        matrix/options (see MatrixThermalModel); skips the
-     *        per-instance Prony fit with bit-identical behavior
+     *        per-instance Prony fit with bit-identical behavior and is
+     *        held, not copied
      */
+    ThermalEnvironment(std::shared_ptr<const HeatDistributionMatrix> matrix,
+                       CoolingParams cooling,
+                       double server_airflow_w_per_k = 15.0,
+                       KernelMode mode = KernelMode::Auto,
+                       FactorizationOptions factorization =
+                           FactorizationOptions(),
+                       std::shared_ptr<const TemporalFactorization>
+                           precomputed_factorization = {});
+
+    /** An environment that owns its matrix. */
     ThermalEnvironment(HeatDistributionMatrix matrix, CoolingParams cooling,
                        double server_airflow_w_per_k = 15.0,
                        KernelMode mode = KernelMode::Auto,

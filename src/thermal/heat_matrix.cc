@@ -240,31 +240,42 @@ MatrixThermalModel::MatrixThermalModel(
     HeatDistributionMatrix matrix, KernelMode mode,
     FactorizationOptions factorization,
     std::shared_ptr<const TemporalFactorization> precomputed)
+    : MatrixThermalModel(
+          std::make_shared<const HeatDistributionMatrix>(std::move(matrix)),
+          mode, factorization, std::move(precomputed))
+{}
+
+MatrixThermalModel::MatrixThermalModel(
+    std::shared_ptr<const HeatDistributionMatrix> matrix, KernelMode mode,
+    FactorizationOptions factorization,
+    std::shared_ptr<const TemporalFactorization> precomputed)
     : matrix_(std::move(matrix)), requested_(mode),
-      history_(matrix_.horizon() * matrix_.numServers(), 0.0)
+      history_(matrix_->horizon() * matrix_->numServers(), 0.0)
 {
     if (mode == KernelMode::Dense) {
         active_ = KernelMode::Dense;
         return;
     }
 
-    const double n = static_cast<double>(matrix_.numServers());
-    const double h = static_cast<double>(matrix_.horizon());
+    const double n = static_cast<double>(matrix_->numServers());
+    const double h = static_cast<double>(matrix_->horizon());
     // A precomputed factorization (the campaign setup cache) must have
     // been computed from the same matrix with the same options, so
-    // copying it is bit-identical to recomputing -- compute() is
+    // sharing it is bit-identical to recomputing -- compute() is
     // deterministic.
-    TemporalFactorization factors =
-        precomputed ? *precomputed
-                    : TemporalFactorization::compute(matrix_, factorization);
+    std::shared_ptr<const TemporalFactorization> factors =
+        precomputed ? std::move(precomputed)
+                    : std::make_shared<const TemporalFactorization>(
+                          TemporalFactorization::compute(*matrix_,
+                                                         factorization));
     const double factorized_cost =
-        static_cast<double>(factors.rank()) * (n * h + n * n);
+        static_cast<double>(factors->rank()) * (n * h + n * n);
     const double dense_cost = n * n * h;
     const bool factorized_worthwhile =
-        factors.relError() <= factorization.relTolerance &&
+        factors->relError() <= factorization.relTolerance &&
         factorized_cost <= kFactorizedCostAdvantage * dense_cost;
     const bool streaming_fits =
-        factors.streamingRelError() <= factorization.streamingTolerance;
+        factors->streamingRelError() <= factorization.streamingTolerance;
 
     switch (mode) {
       case KernelMode::Factorized:
@@ -279,7 +290,7 @@ MatrixThermalModel::MatrixThermalModel(
         } else {
             ECOLO_WARN_ONCE(
                 "streaming kernel requested but the exponential fit "
-                "misses tolerance (", factors_.streamingRelError(), " > ",
+                "misses tolerance (", factors_->streamingRelError(), " > ",
                 factorization.streamingTolerance,
                 "); falling back to the factorized walk");
             active_ = KernelMode::Factorized;
@@ -303,21 +314,21 @@ MatrixThermalModel::MatrixThermalModel(
 void
 MatrixThermalModel::initStreamingState()
 {
-    const std::size_t n = matrix_.numServers();
-    const std::size_t rank = factors_.rank();
-    const double horizon = static_cast<double>(matrix_.horizon());
+    const std::size_t n = matrix_->numServers();
+    const std::size_t rank = factors_->rank();
+    const double horizon = static_cast<double>(matrix_->horizon());
 
     rankModeBegin_.assign(rank + 1, 0);
     for (std::size_t r = 0; r < rank; ++r) {
         rankModeBegin_[r + 1] =
-            rankModeBegin_[r] + factors_.temporalFit(r).modes.size();
+            rankModeBegin_[r] + factors_->temporalFit(r).modes.size();
     }
     const std::size_t total_modes = rankModeBegin_[rank];
     modeDecay_.resize(total_modes);
     modeTail_.resize(total_modes);
     modeWeight_.resize(total_modes);
     for (std::size_t r = 0; r < rank; ++r) {
-        const auto &modes = factors_.temporalFit(r).modes;
+        const auto &modes = factors_->temporalFit(r).modes;
         for (std::size_t m = 0; m < modes.size(); ++m) {
             const std::size_t q = rankModeBegin_[r] + m;
             modeDecay_[q] = modes[m].decay;
@@ -328,7 +339,7 @@ MatrixThermalModel::initStreamingState()
     modeAccum_.assign(total_modes * n, 0.0);
     spatialT_.assign(rank * n * n, 0.0);
     for (std::size_t r = 0; r < rank; ++r) {
-        const double *u = factors_.spatial(r).data();
+        const double *u = factors_->spatial(r).data();
         double *ut = &spatialT_[r * n * n];
         for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = 0; j < n; ++j)
@@ -342,8 +353,8 @@ MatrixThermalModel::initStreamingState()
 void
 MatrixThermalModel::pushPowers(const std::vector<Kilowatts> &powers)
 {
-    const std::size_t n = matrix_.numServers();
-    const std::size_t horizon = matrix_.horizon();
+    const std::size_t n = matrix_->numServers();
+    const std::size_t horizon = matrix_->horizon();
     ECOLO_ASSERT(powers.size() == n, "power vector size mismatch");
     double *slot = &history_[head_ * n];
     if (active_ == KernelMode::Streaming) {
@@ -374,15 +385,15 @@ MatrixThermalModel::pushPowers(const std::vector<Kilowatts> &powers)
 CelsiusDelta
 MatrixThermalModel::inletRise(std::size_t i) const
 {
-    const std::size_t n = matrix_.numServers();
-    const std::size_t horizon = matrix_.horizon();
+    const std::size_t n = matrix_->numServers();
+    const std::size_t horizon = matrix_->horizon();
     double rise = 0.0;
     for (std::size_t tau = 0; tau < filled_; ++tau) {
         // tau = 0 is the most recently pushed vector.
         const std::size_t pos = (head_ + horizon - 1 - tau) % horizon;
         const double *powers = &history_[pos * n];
         for (std::size_t j = 0; j < n; ++j)
-            rise += matrix_.coeff(i, j, tau) * powers[j];
+            rise += matrix_->coeff(i, j, tau) * powers[j];
     }
     return CelsiusDelta(rise);
 }
@@ -405,8 +416,13 @@ void
 MatrixThermalModel::computeAllRisesDense(std::vector<double> &rises_out)
     const
 {
-    const std::size_t n = matrix_.numServers();
-    const std::size_t horizon = matrix_.horizon();
+    // The coefficients are read through one hoisted pointer: the
+    // bounds-checked coeff() in the inner loop cost ~1.5x here once the
+    // matrix sat behind a shared_ptr (its invariant loads stopped being
+    // hoisted). Same products, same summation order.
+    const std::size_t n = matrix_->numServers();
+    const std::size_t horizon = matrix_->horizon();
+    const double *coeffs = matrix_->coefficients();
     rises_out.assign(n, 0.0);
     for (std::size_t tau = 0; tau < filled_; ++tau) {
         const std::size_t pos = (head_ + horizon - 1 - tau) % horizon;
@@ -414,7 +430,7 @@ MatrixThermalModel::computeAllRisesDense(std::vector<double> &rises_out)
         for (std::size_t i = 0; i < n; ++i) {
             double acc = 0.0;
             for (std::size_t j = 0; j < n; ++j)
-                acc += matrix_.coeff(i, j, tau) * powers[j];
+                acc += coeffs[(i * n + j) * horizon + tau] * powers[j];
             rises_out[i] += acc;
         }
     }
@@ -424,9 +440,10 @@ void
 MatrixThermalModel::computeAllRisesFactorized(
     std::vector<double> &rises_out) const
 {
-    const std::size_t n = matrix_.numServers();
-    const std::size_t horizon = matrix_.horizon();
-    const std::size_t rank = factors_.rank();
+    const TemporalFactorization &factors = *factors_;
+    const std::size_t n = matrix_->numServers();
+    const std::size_t horizon = matrix_->horizon();
+    const std::size_t rank = factors.rank();
 
     // Temporally-smoothed power states s_r[j] = sum_tau V_r[tau] P_j(t-tau).
     smoothed_.assign(rank * n, 0.0);
@@ -434,7 +451,7 @@ MatrixThermalModel::computeAllRisesFactorized(
         const std::size_t pos = (head_ + horizon - 1 - tau) % horizon;
         const double *powers = &history_[pos * n];
         for (std::size_t r = 0; r < rank; ++r) {
-            const double k = factors_.temporal(r)[tau];
+            const double k = factors.temporal(r)[tau];
             double *s = &smoothed_[r * n];
             for (std::size_t j = 0; j < n; ++j)
                 s[j] += k * powers[j];
@@ -444,7 +461,7 @@ MatrixThermalModel::computeAllRisesFactorized(
     // rises = sum_r U_r * s_r (R GEMVs).
     rises_out.assign(n, 0.0);
     for (std::size_t r = 0; r < rank; ++r) {
-        const double *u = factors_.spatial(r).data();
+        const double *u = factors.spatial(r).data();
         const double *s = &smoothed_[r * n];
         for (std::size_t i = 0; i < n; ++i) {
             const double *row = &u[i * n];
@@ -459,8 +476,8 @@ MatrixThermalModel::computeAllRisesFactorized(
 void
 MatrixThermalModel::updateStreamingRises()
 {
-    const std::size_t n = matrix_.numServers();
-    const std::size_t rank = factors_.rank();
+    const std::size_t n = matrix_->numServers();
+    const std::size_t rank = factors_->rank();
     double *rises = streamRises_.data();
     std::fill(rises, rises + n, 0.0);
     for (std::size_t r = 0; r < rank; ++r) {
@@ -492,8 +509,8 @@ MatrixThermalModel::streamingStateCompatible(
     // (the bank keeps a single head/filled pair for the group).
     return active_ == KernelMode::Streaming &&
            other.active_ == KernelMode::Streaming &&
-           matrix_.numServers() == other.matrix_.numServers() &&
-           matrix_.horizon() == other.matrix_.horizon() &&
+           matrix_->numServers() == other.matrix_->numServers() &&
+           matrix_->horizon() == other.matrix_->horizon() &&
            modeDecay_ == other.modeDecay_ &&
            modeTail_ == other.modeTail_ &&
            modeWeight_ == other.modeWeight_ &&
@@ -530,8 +547,8 @@ MatrixThermalModel::saveState(util::StateWriter &writer) const
     // the streaming accumulators (empty vectors off the streaming path).
     writer.tag("THS2");
     writer.u32(kernelModeId(active_));
-    writer.u64(matrix_.horizon());
-    writer.u64(matrix_.numServers());
+    writer.u64(matrix_->horizon());
+    writer.u64(matrix_->numServers());
     writer.f64Vector(history_);
     writer.u64(head_);
     writer.u64(filled_);
@@ -563,13 +580,13 @@ MatrixThermalModel::loadState(util::StateReader &reader)
     }
     const std::uint64_t slots = reader.u64();
     const std::uint64_t width = reader.u64();
-    if (reader.ok() && (slots != matrix_.horizon() ||
-                        width != matrix_.numServers())) {
+    if (reader.ok() && (slots != matrix_->horizon() ||
+                        width != matrix_->numServers())) {
         reader.fail(ECOLO_ERROR(
             util::ErrorCode::StateError,
             "thermal history shape mismatch: checkpoint has ", slots,
-            " slots x ", width, " servers, model has ", matrix_.horizon(),
-            " x ", matrix_.numServers(),
+            " slots x ", width, " servers, model has ", matrix_->horizon(),
+            " x ", matrix_->numServers(),
             " (was the checkpoint written with a different config?)"));
         return;
     }

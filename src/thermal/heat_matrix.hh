@@ -72,6 +72,10 @@ class HeatDistributionMatrix
     double &coeff(std::size_t i, std::size_t j, std::size_t tau);
     double coeff(std::size_t i, std::size_t j, std::size_t tau) const;
 
+    /** Every coefficient, [i][j][tau] flattened (unchecked kernel
+     * access). */
+    const double *coefficients() const { return coeffs_.data(); }
+
     /** Steady-state inlet-i gain to sustained power at j (sum over tau),
      * served from a precomputed N x N table. */
     double steadyGain(std::size_t i, std::size_t j) const;
@@ -154,17 +158,25 @@ class MatrixThermalModel
     /**
      * `precomputed`, when set, must be the result of
      * TemporalFactorization::compute over the same matrix and options;
-     * the model copies it instead of re-running the fit (compute() is
-     * deterministic, so behavior is bit-identical). Campaign drivers
-     * use this to factorize a shared heat tensor once.
+     * the model holds it instead of re-running the fit (compute() is
+     * deterministic, so behavior is bit-identical). The matrix and the
+     * factorization are held, not copied: models built from one
+     * core::SetupCache share the published (immutable) artifacts.
      */
+    explicit MatrixThermalModel(
+        std::shared_ptr<const HeatDistributionMatrix> matrix,
+        KernelMode mode = KernelMode::Auto,
+        FactorizationOptions factorization = FactorizationOptions(),
+        std::shared_ptr<const TemporalFactorization> precomputed = {});
+
+    /** A model that owns its matrix. */
     explicit MatrixThermalModel(
         HeatDistributionMatrix matrix,
         KernelMode mode = KernelMode::Auto,
         FactorizationOptions factorization = FactorizationOptions(),
         std::shared_ptr<const TemporalFactorization> precomputed = {});
 
-    std::size_t numServers() const { return matrix_.numServers(); }
+    std::size_t numServers() const { return matrix_->numServers(); }
 
     /** Append this minute's per-server power vector. Under the streaming
      * kernel this is where the thermal state advances (the recurrence
@@ -199,7 +211,7 @@ class MatrixThermalModel
     void saveState(util::StateWriter &writer) const;
     void loadState(util::StateReader &reader);
 
-    const HeatDistributionMatrix &matrix() const { return matrix_; }
+    const HeatDistributionMatrix &matrix() const { return *matrix_; }
 
     /** The kernel actually running (after Auto selection / fallback). */
     KernelMode activeKernel() const { return active_; }
@@ -214,7 +226,7 @@ class MatrixThermalModel
 
     /** Rank of the active factorization (0 on the dense path). */
     std::size_t factorizationRank() const
-    { return active_ != KernelMode::Dense ? factors_.rank() : 0; }
+    { return active_ != KernelMode::Dense ? factors_->rank() : 0; }
 
     /** Total exponential modes across ranks (0 unless streaming). */
     std::size_t streamingModeCount() const { return modeDecay_.size(); }
@@ -234,8 +246,9 @@ class MatrixThermalModel
     void initStreamingState();
     void updateStreamingRises();
 
-    HeatDistributionMatrix matrix_;
-    TemporalFactorization factors_;
+    std::shared_ptr<const HeatDistributionMatrix> matrix_;
+    /** Null on the dense path. */
+    std::shared_ptr<const TemporalFactorization> factors_;
     KernelMode requested_ = KernelMode::Auto;
     KernelMode active_ = KernelMode::Dense;
 

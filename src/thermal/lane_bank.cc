@@ -12,9 +12,9 @@ LaneThermalBank::configure(const MatrixThermalModel &reference)
 {
     ECOLO_ASSERT(reference.active_ == KernelMode::Streaming,
                  "lane bank requires the streaming kernel");
-    n_ = reference.matrix_.numServers();
-    horizon_ = reference.matrix_.horizon();
-    rank_ = reference.factors_.rank();
+    n_ = reference.matrix_->numServers();
+    horizon_ = reference.matrix_->horizon();
+    rank_ = reference.factors_->rank();
     head_ = reference.head_;
     filled_ = reference.filled_;
     modeDecay_ = reference.modeDecay_;
